@@ -41,9 +41,9 @@ from ..perf.cache import RunCache
 from ..perf.fingerprint import (
     combine_fingerprints,
     fingerprint_config,
-    fingerprint_kernel,
     fingerprint_params,
-    fingerprint_records,
+    kernel_content_key,
+    records_content_key,
 )
 from ..perf import parallel as parallel_mod
 from ..perf.parallel import SweepPoint, effective_workers, run_points
@@ -138,13 +138,6 @@ class ExperimentContext:
         self.cache = cache if cache is not None else RunCache(cache_dir)
         self._workloads: Dict[str, list] = {}
         self._keys: Dict[Tuple[str, str, str], str] = {}
-        # Memoized part fingerprints: the kernel and workload hashes are
-        # invariant across the configurations of a sweep.
-        self._kernel_fps: Dict[str, str] = {}
-        self._records_fps: Dict[str, str] = {}
-        self._config_fps: Dict[str, str] = {}
-        self._backend_fps: Dict[str, str] = {}
-        self._params_fp: Optional[str] = None
         self._kernels: Dict[str, object] = {}
         #: wall seconds spent simulating each point (bench reporting);
         #: non-grid points are keyed ``backend:kernel``
@@ -194,38 +187,28 @@ class ExperimentContext:
     ) -> str:
         """Content address of the (kernel, config) point on this context.
 
-        Identical to ``run_fingerprint`` on the full inputs, but the
-        part hashes (kernel structure, workload, params, backend) are
-        memoized — a sweep hashes each kernel and record stream once,
-        not once per configuration.
+        Identical to ``run_fingerprint`` on the full inputs, built from
+        the shared memoized parts (:mod:`repro.perf.fingerprint`): the
+        kernel hash lives on this context's kernel instance and the
+        record-stream digest in the ``(kernel, records, seed)`` memo,
+        seeded from this context's own stream — a sweep hashes each
+        kernel and workload once, not once per configuration.
         """
         b = self._backend(backend)
         key = (b.name, name, config.name)
         fp = self._keys.get(key)
         if fp is None:
-            kernel_fp = self._kernel_fps.get(name)
-            if kernel_fp is None:
-                kernel_fp = fingerprint_kernel(self.kernel(name))
-                self._kernel_fps[name] = kernel_fp
-            records_fp = self._records_fps.get(name)
-            if records_fp is None:
-                records_fp = fingerprint_records(self.workload(name))
-                self._records_fps[name] = records_fp
-            config_fp = self._config_fps.get(config.name)
-            if config_fp is None:
-                config_fp = fingerprint_config(config)
-                self._config_fps[config.name] = config_fp
-            if self._params_fp is None:
-                self._params_fp = fingerprint_params(self.params)
-            backend_fp = self._backend_fps.get(b.name)
-            if backend_fp is None:
-                backend_fp = b.fingerprint_part()
-                self._backend_fps[b.name] = backend_fp
-            fp = combine_fingerprints(
-                kernel_fp, config_fp, self._params_fp, records_fp,
-                backend=backend_fp,
+            fp = self._keys[key] = combine_fingerprints(
+                kernel_content_key(self.kernel(name)),
+                fingerprint_config(config),
+                fingerprint_params(self.params),
+                records_content_key(
+                    name, self.record_count(name),
+                    sweep_workload_seed(self.seed),
+                    stream=lambda: self.workload(name),
+                ),
+                backend=b.fingerprint_part(),
             )
-            self._keys[key] = fp
         return fp
 
     def _point(

@@ -39,6 +39,7 @@ distributed experiment store can extend it compatibly.
 
 from __future__ import annotations
 
+import dataclasses
 import getpass
 import json
 import os
@@ -201,13 +202,23 @@ def _json_or_none(doc: Optional[Dict[str, Any]]) -> Optional[str]:
     return json.dumps(_jsonable(doc), sort_keys=True)
 
 
+class LedgerSchemaError(sqlite3.DatabaseError):
+    """The ledger file carries a newer (or unreadable) schema stamp.
+
+    A :class:`sqlite3.DatabaseError`, so :meth:`LedgerHandle.record_run`
+    drops the row like any other database failure.
+    """
+
+
 class RunLedger:
     """Append/read access to one ledger database file.
 
     Opens lazily, configures WAL mode + a busy timeout, and creates the
-    schema on first use.  One instance is safe to share across threads
-    (a lock serializes this process's inserts); concurrent *processes*
-    coordinate through sqlite's own WAL locking.
+    schema on first use — stamping ``meta.schema`` when absent or
+    older, refusing a file stamped newer (:class:`LedgerSchemaError`).
+    One instance is safe to share across threads (a lock serializes
+    this process's inserts); concurrent *processes* coordinate through
+    sqlite's own WAL locking.
     """
 
     def __init__(self, path: str):
@@ -228,11 +239,31 @@ class RunLedger:
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=30000")
+            row = None
+            try:
+                row = conn.execute(
+                    "SELECT value FROM meta WHERE key = 'schema'"
+                ).fetchone()
+            except sqlite3.OperationalError:
+                pass  # no meta table: a fresh file
+            if row is not None and not (
+                str(row[0]).isdigit() and int(row[0]) <= LEDGER_SCHEMA
+            ):
+                # Newer (or unreadable): the tables may have changed
+                # incompatibly, and relabelling them would hide it.
+                conn.close()
+                raise LedgerSchemaError(
+                    f"ledger {self.path} has schema {row[0]!r}; this "
+                    f"code reads schema {LEDGER_SCHEMA} and older"
+                )
             conn.executescript(_TABLE_SQL)
-            conn.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                ("schema", str(LEDGER_SCHEMA)),
-            )
+            if row is None or int(row[0]) < LEDGER_SCHEMA:
+                # Absent or older: the additive CREATE statements above
+                # just brought the tables up to date.
+                conn.execute(
+                    "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                    ("schema", str(LEDGER_SCHEMA)),
+                )
             self._conn = conn
             self._pid = os.getpid()
         return self._conn
@@ -768,12 +799,17 @@ class LedgerHandle:
     processes inherit the configuration.
     """
 
-    __slots__ = ("enabled", "path", "_ledger")
+    __slots__ = ("enabled", "path", "_ledger", "_last_params")
 
     def __init__(self) -> None:
         self.enabled = False
         self.path: Optional[str] = None
         self._ledger: Optional[RunLedger] = None
+        #: (params object, its column JSON): a sweep's points share one
+        #: params object, so it is serialized once per batch.  Keyed on
+        #: identity (``MachineParams`` is unhashable); holding the
+        #: object keeps its id from being reused.
+        self._last_params: tuple = (None, None)
 
     def configure(self, path: Optional[str], mirror_env: bool = True) -> None:
         """Enable the ledger at ``path`` (None/empty disables).
@@ -847,14 +883,12 @@ class LedgerHandle:
             )
         else:
             verdict = "off"
-        params_doc = None
+        params_json = None
         if params is not None:
-            import dataclasses
-
-            try:
-                params_doc = dataclasses.asdict(params)
-            except TypeError:
-                params_doc = {"repr": repr(params)}
+            last, params_json = self._last_params
+            if last is not params:
+                params_json = _json_or_none(_params_doc(params))
+                self._last_params = (params, params_json)
         run_id = uuid.uuid4().hex
         row = {
             "run_id": run_id,
@@ -868,7 +902,7 @@ class LedgerHandle:
             "kernel": result.kernel,
             "config": result.config,
             "records": result.records,
-            "params": _json_or_none(params_doc),
+            "params": params_json,
             "fingerprint": fingerprint,
             "cache": cache,
             "sanitizer": verdict,
@@ -883,6 +917,14 @@ class LedgerHandle:
         except sqlite3.Error:
             return None
         return run_id
+
+
+def _params_doc(params) -> Dict[str, Any]:
+    """The ``params`` column document of a parameter dataclass."""
+    try:
+        return dataclasses.asdict(params)
+    except TypeError:
+        return {"repr": repr(params)}
 
 
 def _safe_user() -> Optional[str]:
@@ -985,6 +1027,7 @@ __all__ = [
     "POINT_TERMINAL",
     "ROW_COLUMNS",
     "LedgerHandle",
+    "LedgerSchemaError",
     "RunLedger",
     "add_ledger_arguments",
     "configure_from_args",

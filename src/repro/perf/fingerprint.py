@@ -21,16 +21,24 @@ Canonicalization rules:
 ``SCHEMA_VERSION`` is folded into every run fingerprint; bump it
 whenever the timing semantics of the engines change so stale on-disk
 cache entries can never be replayed against a newer simulator.
+
+Two memos make repeat addressing cheap without changing any address:
+:func:`kernel_content_key` keeps the kernel hash on the (immutable)
+kernel instance, and :func:`records_content_key` keeps a bounded LRU of
+record-stream digests keyed by ``(kernel name, records, seed)`` — sound
+because every workload generator is a pure function of its record
+count and seed.  The LRU holds 64-character digests only, never
+streams.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import fields
-from typing import Sequence
-
-from typing import Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..isa.instruction import Const, Immediate, InstResult, RecordInput
 from ..isa.kernel import Kernel
@@ -104,6 +112,15 @@ def fingerprint_kernel(kernel: Kernel) -> str:
     return _digest(doc)
 
 
+def kernel_content_key(kernel: Kernel) -> str:
+    """The kernel's structure fingerprint, memoized on the instance."""
+    key = getattr(kernel, "_content_key", None)
+    if key is None:
+        key = fingerprint_kernel(kernel)
+        kernel._content_key = key  # type: ignore[attr-defined]
+    return key
+
+
 def fingerprint_config(config: MachineConfig) -> str:
     """Content hash of a machine configuration (mechanism selection)."""
     doc = {f.name: getattr(config, f.name) for f in fields(config)}
@@ -125,6 +142,61 @@ def fingerprint_records(records: Sequence[Sequence]) -> str:
     """Content hash of a record stream (count and every word)."""
     doc = [len(records), [list(record) for record in records]]
     return _digest(doc)
+
+
+#: Bound of the record-stream digest memo (entries are 64-char digests).
+RECORDS_MEMO_SIZE = 256
+
+_RECORDS_MEMO: "OrderedDict[Tuple[str, int, Optional[int]], str]" = (
+    OrderedDict()
+)
+#: Service worker threads address points concurrently; the lock guards
+#: the LRU's check-then-act (never the stream generation).
+_RECORDS_LOCK = threading.Lock()
+
+
+def records_content_key(
+    kernel_name: str,
+    records: int,
+    seed: Optional[int] = None,
+    stream: Optional[Callable[[], Sequence[Sequence]]] = None,
+) -> str:
+    """:func:`fingerprint_records` of a registry workload, memoized.
+
+    The stream is generated only on a memo miss — by ``stream()`` when
+    the caller already holds it, else by the kernel's registered
+    ``workload(records[, seed])`` (``seed=None`` uses the generator's
+    default seed, exactly like :class:`~repro.perf.parallel.SweepPoint`).
+    """
+    key = (kernel_name, records, seed)
+    with _RECORDS_LOCK:
+        digest = _RECORDS_MEMO.get(key)
+        if digest is not None:
+            _RECORDS_MEMO.move_to_end(key)
+            return digest
+    digest = fingerprint_records(
+        stream() if stream is not None
+        else generate_workload(kernel_name, records, seed)
+    )
+    with _RECORDS_LOCK:
+        _RECORDS_MEMO[key] = digest
+        while len(_RECORDS_MEMO) > RECORDS_MEMO_SIZE:
+            _RECORDS_MEMO.popitem(last=False)
+    return digest
+
+
+def generate_workload(
+    kernel_name: str, records: int, seed: Optional[int] = None
+) -> list:
+    """The registry kernel's record stream (``seed=None``: its default)."""
+    # Imported lazily, like every registry lookup in repro.perf: this
+    # module stays importable without loading the kernel modules.
+    from ..kernels.registry import spec
+
+    s = spec(kernel_name)
+    if seed is None:
+        return s.workload(records)
+    return s.workload(records, seed)
 
 
 def fingerprint_backend(name: str, params=None) -> str:

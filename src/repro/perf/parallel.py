@@ -117,55 +117,35 @@ def simulate_point(point: SweepPoint) -> RunResult:
 
 
 def _simulate(point: SweepPoint, meta: Optional[dict]) -> RunResult:
-    """:func:`simulate_point` with an optional metadata out-param."""
-    if point.engine_core is not None:
-        # Pin the whole point — fingerprinting reads the active core,
-        # so the address and the simulation must agree on it.
-        from ..machine.fastcore import using_core
-
-        with using_core(point.engine_core):
-            return _simulate_pinned(point, meta)
-    return _simulate_pinned(point, meta)
-
-
-def _simulate_pinned(
-    point: SweepPoint, meta: Optional[dict] = None
-) -> RunResult:
-    """:func:`simulate_point` body, engine core already resolved.
+    """:func:`simulate_point` with an optional metadata out-param.
 
     When ``meta`` is a dict, ``meta["cache"]`` is set to the point's
     cache verdict (``"hit"``/``"miss"``/``"uncached"``) — what the
-    claim consumers record on the DONE row.
+    claim consumers record on the DONE row.  The cache is probed
+    before anything else: a hit costs one memoized fingerprint (none
+    when the point carries it) and one cache read, and never generates
+    the workload.  A pinned ``engine_core`` goes into the fingerprint
+    and the dispatch alike.
     """
     # Lazy imports: repro.backends imports this package back (for the
     # fingerprint helpers), so resolving at call time avoids the cycle.
     from ..backends import dispatch, get
     from ..kernels.registry import spec
+    from ..sched.codec import point_fingerprint
+    from .fingerprint import generate_workload
 
     if point.ledger_path is not None and not LEDGER.enabled:
         # Pool workers are fresh processes: adopt the parent's ledger
         # so fan-out rows land in the same database as serial runs.
         LEDGER.configure(point.ledger_path, mirror_env=False)
-    s = spec(point.kernel)
-    if point.workload_seed is None:
-        records = s.workload(point.records)
-    else:
-        records = s.workload(point.records, point.workload_seed)
-    kernel = s.kernel()
     backend = get(point.backend)
     cache = None
     fp = None
     if point.cache_dir is not None:
         from .cache import RunCache
-        from .fingerprint import run_fingerprint
 
         cache = RunCache(point.cache_dir)
-        fp = point.fingerprint
-        if fp is None:
-            fp = run_fingerprint(
-                kernel, point.config, point.params, records,
-                backend=backend.fingerprint_part(),
-            )
+        fp = point.fingerprint or point_fingerprint(point)
         cached = cache.get(fp)
         if cached is not None:
             if meta is not None:
@@ -178,14 +158,17 @@ def _simulate_pinned(
 
                 LEDGER.record_run(
                     cached, backend=backend.name,
-                    engine_core=active_core(), wall_seconds=0.0,
-                    params=point.params, fingerprint=fp, cache="hit",
+                    engine_core=point.engine_core or active_core(),
+                    wall_seconds=0.0, params=point.params,
+                    fingerprint=fp, cache="hit",
                 )
             return cached
     if meta is not None:
         meta["cache"] = "miss" if fp is not None else "uncached"
     result = dispatch(
-        backend, kernel, records, point.config, point.params,
+        backend, spec(point.kernel).kernel(),
+        generate_workload(point.kernel, point.records, point.workload_seed),
+        point.config, point.params, engine_core=point.engine_core,
         fingerprint=fp, cache_status="miss" if fp is not None else None,
     )
     if cache is not None:

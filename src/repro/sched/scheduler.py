@@ -115,6 +115,9 @@ class ClaimSession:
                     point if point.fingerprint == fp
                     else dataclasses.replace(point, fingerprint=fp)
                 )
+            # One memo for the batch: its points share their config
+            # and params objects, so each is serialized once.
+            memo: dict = {}
             rows = [
                 {
                     "seq": seq,
@@ -122,7 +125,7 @@ class ClaimSession:
                     "label": _label(point),
                     "backend": point.backend,
                     "spec": json.dumps(
-                        encode_point(point), sort_keys=True
+                        encode_point(point, memo), sort_keys=True
                     ),
                 }
                 for seq, point in enumerate(filled)

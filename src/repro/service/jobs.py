@@ -283,18 +283,13 @@ class JobQueue:
         While the job runs, ``progress`` is composed from its claim
         session's store — per-point rows with durable claim state — so
         the snapshot is correct even with several jobs running and
-        external workers sharding the sweep.
+        external workers sharding the sweep.  That store read runs
+        outside the queue lock.
         """
         job = self.get(job_id)
         with self._lock:
             state = job.state
-            progress = job.progress
-            if state == JobState.RUNNING:
-                session = job.session
-                if session is not None:
-                    progress = session.progress_snapshot(job.started_at)
-                else:
-                    progress = self._live_progress(job)
+            session = job.session
             doc = {
                 "job_id": job.job_id,
                 "state": state,
@@ -311,9 +306,16 @@ class JobQueue:
                 "points_total": job.points_total,
                 "skipped": [list(pair) for pair in job.skipped],
                 "error": job.error,
-                "progress": progress,
+                "progress": job.progress,
                 "cache": dict(job.cache_counts),
             }
+        if state == JobState.RUNNING:
+            # Outside the lock: the snapshot is a ledger read, and
+            # polls must not serialize submit/_finish behind it.
+            doc["progress"] = (
+                session.progress_snapshot(doc["started_at"])
+                if session is not None else self._live_progress(job)
+            )
         return doc
 
     def _live_progress(self, job: Job) -> dict:

@@ -11,11 +11,8 @@ from repro.kernels import spec
 from repro.machine import GridProcessor, MachineConfig, MachineParams, \
     map_window
 from repro.machine.fastcore import using_core
-from repro.machine.window_cache import (
-    SHARED_WINDOW_CACHE,
-    MappedWindowCache,
-    kernel_content_key,
-)
+from repro.machine.window_cache import SHARED_WINDOW_CACHE, MappedWindowCache
+from repro.perf.fingerprint import kernel_content_key
 
 
 def fft_point():

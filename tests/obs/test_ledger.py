@@ -332,3 +332,82 @@ class TestReadBack:
             "SELECT value FROM meta WHERE key='schema'"
         ).fetchone()[0]
         assert value == str(LEDGER_SCHEMA)
+
+
+class TestSchemaStamp:
+    """``meta.schema`` is stamped once, upgraded forward, never relabelled."""
+
+    def stamp(self, path):
+        conn = sqlite3.connect(path)
+        try:
+            return conn.execute(
+                "SELECT value FROM meta WHERE key='schema'"
+            ).fetchone()[0]
+        finally:
+            conn.close()
+
+    def write_stamp(self, path, value):
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
+        )
+        conn.execute(
+            "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema', ?)",
+            (str(value),),
+        )
+        conn.commit()
+        conn.close()
+
+    def test_fresh_file_is_stamped_and_reconnects_keep_it(self, tmp_path):
+        path = str(tmp_path / "fresh.sqlite")
+        ledger = RunLedger(path)
+        assert ledger.count() == 0
+        assert self.stamp(path) == str(LEDGER_SCHEMA)
+        ledger.close()
+        assert RunLedger(path).count() == 0  # reconnect
+        assert self.stamp(path) == str(LEDGER_SCHEMA)
+
+    def test_older_schema_is_upgraded_and_restamped(self, tmp_path):
+        path = str(tmp_path / "old.sqlite")
+        self.write_stamp(path, 1)
+        ledger = RunLedger(path)
+        assert ledger.point_counts() == {}  # claim tables were added
+        assert self.stamp(path) == str(LEDGER_SCHEMA)
+
+    def test_newer_schema_is_refused_not_relabelled(self, tmp_path):
+        from repro.obs.ledger import LedgerSchemaError
+
+        path = str(tmp_path / "new.sqlite")
+        self.write_stamp(path, LEDGER_SCHEMA + 1)
+        with pytest.raises(LedgerSchemaError) as err:
+            RunLedger(path).count()
+        message = str(err.value)
+        assert path in message
+        assert repr(str(LEDGER_SCHEMA + 1)) in message
+        assert f"schema {LEDGER_SCHEMA}" in message
+        assert isinstance(err.value, sqlite3.DatabaseError)
+        assert self.stamp(path) == str(LEDGER_SCHEMA + 1)
+
+    def test_record_run_drops_the_row_on_a_newer_schema(self, tmp_path):
+        path = str(tmp_path / "new.sqlite")
+        self.write_stamp(path, LEDGER_SCHEMA + 1)
+        with ledger_to(path):
+            assert LEDGER.record_run(
+                run_convert(), backend="grid", engine_core="array",
+                wall_seconds=0.0,
+            ) is None
+        assert self.stamp(path) == str(LEDGER_SCHEMA + 1)
+
+    def test_params_column_is_encoded_per_object(self, tmp_path):
+        path = str(tmp_path / "params.sqlite")
+        result = run_convert()
+        with ledger_to(path):
+            for params in (MachineParams(), MachineParams(hop_cycles=2.0)):
+                for _ in range(2):
+                    LEDGER.record_run(
+                        result, backend="grid", engine_core="array",
+                        wall_seconds=0.0, params=params,
+                    )
+        hops = sorted(row["params"]["hop_cycles"]
+                      for row in RunLedger(path).rows())
+        assert hops == [0.5, 0.5, 2.0, 2.0]

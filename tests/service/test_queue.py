@@ -185,3 +185,28 @@ class TestCacheReplay:
         assert warm.cache_counts == {"hit": warm.points_total}
         assert running_queue.results(cold.job_id) == \
             running_queue.results(warm.job_id)
+
+
+class TestStatusLocking:
+    def test_progress_snapshot_runs_outside_the_queue_lock(self, parked_queue):
+        """Status polls read the ledger without holding the queue lock,
+        so submits and terminal transitions never wait on that I/O."""
+        q = parked_queue
+
+        class FakeSession:
+            calls = 0
+
+            def progress_snapshot(self, started_at):
+                assert not q._lock.locked(), "snapshot under the queue lock"
+                FakeSession.calls += 1
+                return {"completed": 0, "total": 1}
+
+        job = q.submit(small_spec())
+        with q._lock:
+            job.state = JobState.RUNNING
+            job.started_at = time.time()
+            job.session = FakeSession()
+        doc = q.status(job.job_id)
+        assert FakeSession.calls == 1
+        assert doc["state"] == "running"
+        assert doc["progress"] == {"completed": 0, "total": 1}
