@@ -32,7 +32,6 @@ from time import perf_counter
 
 from ..isa.kernel import Kernel
 from ..machine.config import MachineConfig
-from ..machine.fastcore import active_core, using_core
 from ..machine.params import MachineParams
 from ..machine.stats import RunResult
 from ..obs.ledger import LEDGER
@@ -107,18 +106,12 @@ def _run_on(
     config: MachineConfig,
     params: Optional[MachineParams],
     functional: bool,
-    engine_core: Optional[str],
 ) -> RunResult:
-    """The bare simulation of :func:`dispatch` (core pin + GC pause)."""
+    """The bare simulation of :func:`dispatch` (under a GC pause)."""
     with gc_deferred():
-        if engine_core is None:
-            return backend.run(
-                kernel, records, config, params, functional=functional
-            )
-        with using_core(engine_core):
-            return backend.run(
-                kernel, records, config, params, functional=functional
-            )
+        return backend.run(
+            kernel, records, config, params, functional=functional
+        )
 
 
 def dispatch(
@@ -128,7 +121,6 @@ def dispatch(
     config: MachineConfig,
     params: Optional[MachineParams] = None,
     functional: bool = False,
-    engine_core: Optional[str] = None,
     fingerprint: Optional[str] = None,
     cache_status: Optional[str] = None,
 ) -> RunResult:
@@ -141,12 +133,6 @@ def dispatch(
     the durable run ledger is enabled — as one
     :data:`~repro.obs.ledger.LEDGER` row, no matter which layer
     triggered it.
-
-    ``engine_core`` pins the engine-core selection
-    (:mod:`repro.machine.fastcore`) for this one dispatch; ``None``
-    keeps the process-wide selection.  Either way the run is counted
-    under ``backend.engine_core.<core>`` — the cores are pinned
-    bit-exact, so the tag changes no result, only attribution.
 
     ``fingerprint`` and ``cache_status`` annotate the ledger row with
     the point's content address and how the caller's cache treated it
@@ -167,15 +153,11 @@ def dispatch(
         with measuring() as acc:
             result = _run_on(
                 backend, kernel, records, config, params, functional,
-                engine_core,
             )
             phases = acc.snapshot()
         LEDGER.record_run(
             result,
             backend=backend.name,
-            engine_core=(
-                engine_core if engine_core is not None else active_core()
-            ),
             wall_seconds=perf_counter() - started,
             params=params,
             fingerprint=fingerprint,
@@ -187,14 +169,9 @@ def dispatch(
     else:
         result = _run_on(
             backend, kernel, records, config, params, functional,
-            engine_core,
         )
     if METRICS.enabled:
         METRICS.inc(f"backend.runs.{backend.name}")
-        METRICS.inc(
-            "backend.engine_core."
-            f"{engine_core if engine_core is not None else active_core()}"
-        )
         METRICS.observe(f"backend.cycles.{backend.name}", result.cycles)
     if TRACE.enabled:
         TRACE.instant(

@@ -11,7 +11,7 @@ Four subcommands, all exiting non-zero when something is wrong:
   simulation backend (grid, simd, vector, superscalar, stream).
 * ``replay`` — re-check every corpus reproducer (regression replay).
 * ``faults`` — the fault-injection suite: corrupted cache entries,
-  dying worker pools, mid-sweep interrupts.
+  dying worker pools, mid-sweep interrupts, ledger schema stamps.
 """
 
 from __future__ import annotations
@@ -62,11 +62,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from ..machine.fastcore import set_engine_core
     from .fuzz import check_case, check_case_backends, run_fuzz
-
-    if args.engine_core is not None:
-        set_engine_core(args.engine_core)
 
     def progress(done, failing):
         if args.verbose:
@@ -168,11 +164,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="differential mode across every registered "
                            "simulation backend instead of the grid "
                            "engine pair")
-    fuzz.add_argument("--engine-core", default=None,
-                      choices=["array", "object"],
-                      help="engine-core selection for the fuzzed engines "
-                           "(repro.machine.fastcore); 'array' targets "
-                           "the numpy fast paths directly")
     fuzz.add_argument("--verbose", action="store_true",
                       help="progress line per case")
     fuzz.set_defaults(fn=_cmd_fuzz)

@@ -9,10 +9,11 @@ testable:
 * :func:`inject_cache_faults` mutates on-disk :class:`~repro.perf.cache.
   RunCache` entries per a :class:`FaultPlan` — random bytes, truncation,
   schema/field mismatches, non-dict JSON documents;
-* :func:`run_fault_suite` runs three end-to-end scenarios (corrupted
-  cache, dying worker pool, mid-sweep KeyboardInterrupt) and reports a
-  :class:`FaultCheck` verdict for each — pristine-identical results or
-  a clean propagation, never wrong answers.
+* :func:`run_fault_suite` runs four end-to-end scenarios (corrupted
+  cache, dying worker pool, mid-sweep KeyboardInterrupt, a ledger
+  stamped with another schema) and reports a :class:`FaultCheck`
+  verdict for each — pristine-identical results or a clear error,
+  never wrong answers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import dataclasses
 import itertools
 import json
 import random
+import sqlite3
 import tempfile
+import time
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
 
@@ -237,10 +240,136 @@ def check_interrupt(after_points: int = 2) -> FaultCheck:
         )
 
 
+#: A ledger file as schema 2 wrote it: ``runs`` still has the
+#: ``engine_core`` column that schema 3 dropped.
+_SCHEMA2_DDL = """
+CREATE TABLE runs (
+    run_id TEXT PRIMARY KEY, created_at REAL NOT NULL, host TEXT,
+    "user" TEXT, pid INTEGER, git_sha TEXT, backend TEXT,
+    engine_core TEXT, kernel TEXT, config TEXT, records INTEGER,
+    params TEXT, fingerprint TEXT, cache TEXT, sanitizer TEXT,
+    cycles INTEGER, useful_ops INTEGER, wall_seconds REAL, phases TEXT,
+    metrics TEXT
+);
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT);
+CREATE TABLE jobs (
+    job_id TEXT PRIMARY KEY, spec TEXT, source TEXT, state TEXT,
+    submitted_at REAL, started_at REAL, finished_at REAL, error TEXT,
+    points_total INTEGER
+);
+"""
+
+
+def _stamped_ledger(path: str, schema: int, ddl: str = "") -> None:
+    conn = sqlite3.connect(path)
+    try:
+        conn.executescript(
+            ddl or "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT);"
+        )
+        conn.execute("INSERT INTO meta VALUES ('schema', ?)", (str(schema),))
+        conn.commit()
+    finally:
+        conn.close()
+
+
+def check_ledger_schema(timeout: float = 120.0) -> FaultCheck:
+    """A ledger stamped newer refuses to start; a schema-2 one adopts.
+
+    Two checks.  A service queue on a ledger stamped with a newer
+    schema must fail at start-up with :class:`LedgerSchemaError` and
+    start no worker.  A hand-built schema-2 ledger holding a QUEUED job
+    whose spec still carries ``"engine_core": null`` must open, be
+    restamped to the current schema, and finish the adopted job DONE
+    with rows equal to a serial run.
+    """
+    from ..obs.ledger import LEDGER_SCHEMA, LedgerSchemaError
+    from ..perf.parallel import simulate_point
+    from ..service.jobs import JobQueue, JobState
+    from ..service.spec import SweepSpec, point_rows
+
+    name = "ledger-schema"
+    with tempfile.TemporaryDirectory() as tmp:
+        newer = str(Path(tmp) / "newer.sqlite")
+        _stamped_ledger(newer, LEDGER_SCHEMA + 1)
+        queue = JobQueue(ledger_path=newer)
+        try:
+            queue.start()
+        except LedgerSchemaError:
+            if queue._threads:
+                return FaultCheck(name, False,
+                                  "workers started on a newer ledger")
+        else:
+            queue.shutdown(wait=True, timeout=10.0)
+            return FaultCheck(name, False,
+                              "a newer-schema ledger started serving")
+
+        legacy = str(Path(tmp) / "schema2.sqlite")
+        _stamped_ledger(legacy, 2, _SCHEMA2_DDL)
+        doc = {"kernels": ["convert"], "configs": ["baseline", "S"],
+               "records": 8}
+        stored = dict(SweepSpec.from_dict(doc).to_dict(), engine_core=None)
+        conn = sqlite3.connect(legacy)
+        conn.execute(
+            "INSERT INTO jobs (job_id, spec, source, state, submitted_at) "
+            "VALUES ('legacy', ?, 'service', 'queued', ?)",
+            (json.dumps(stored, sort_keys=True), time.time()),
+        )
+        conn.commit()
+        conn.close()
+        points, _ = SweepSpec.from_dict(doc).build_points()
+        serial = point_rows(points, [simulate_point(p) for p in points])
+
+        queue = JobQueue(cache_dir=str(Path(tmp) / "cache"),
+                         ledger_path=legacy)
+        try:
+            queue.start()
+            deadline = time.monotonic() + timeout
+            while (queue.get("legacy").state not in JobState.TERMINAL
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            job = queue.get("legacy")
+            rows = queue.results("legacy")["rows"] \
+                if job.state == JobState.DONE else None
+        except Exception as exc:
+            return FaultCheck(name, False,
+                              f"schema-2 ledger failed: {exc!r}")
+        finally:
+            queue.shutdown(wait=True, timeout=10.0)
+        if job.state != JobState.DONE:
+            return FaultCheck(name, False,
+                              f"adopted job ended {job.state}: {job.error}")
+        if rows != serial:
+            return FaultCheck(name, False,
+                              "adopted job rows diverged from a serial run")
+        conn = sqlite3.connect(legacy)
+        try:
+            stamp = conn.execute(
+                "SELECT value FROM meta WHERE key = 'schema'"
+            ).fetchone()[0]
+            legacy_cells = conn.execute(
+                "SELECT COUNT(*) FROM runs WHERE engine_core IS NOT NULL"
+            ).fetchone()[0]
+        finally:
+            conn.close()
+        if stamp != str(LEDGER_SCHEMA) or legacy_cells:
+            return FaultCheck(
+                name, False,
+                f"schema-2 ledger left stamped {stamp!r} with "
+                f"{legacy_cells} non-NULL engine_core cells",
+            )
+    return FaultCheck(
+        name, True,
+        f"schema {LEDGER_SCHEMA + 1} stamp refused at start; schema-2 ledger "
+        f"restamped {LEDGER_SCHEMA} and its queued job finished DONE with "
+        f"{len(rows)} rows equal to a serial run",
+    )
+
+
 def run_fault_suite(jobs: int = 4) -> List[FaultCheck]:
-    """All three fault scenarios, in order."""
+    """All four fault scenarios, in order."""
     return [
         check_cache_corruption(),
         check_worker_failure(jobs=jobs),
         check_interrupt(),
+        check_ledger_schema(),
     ]

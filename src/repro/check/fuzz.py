@@ -9,8 +9,9 @@ path no paper kernel reaches at the default depth of 16 — is exercised
 on ordinary fuzz workloads:
 
 * the functional evaluator (the semantics oracle);
-* the optimized vs reference dataflow engine over every block-style
-  configuration (baseline, S, S-O, S-O-D) — timings, stats bit-identical;
+* the production vs reference mapping and dataflow engine over every
+  block-style configuration (baseline, S, S-O, S-O-D) — mapped windows,
+  timings and stats bit-identical;
 * the optimized vs reference MIMD record loop (M, M-D) where the kernel
   fits, plus MIMD functional output vs the oracle;
 * a :class:`~repro.perf.cache.RunCache` round trip of the result.
@@ -163,7 +164,7 @@ def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
     from ..isa.evaluate import evaluate_stream
     from ..machine.config import MachineConfig
     from ..machine.dataflow_engine import DataflowEngine
-    from ..machine.mapping import map_window
+    from ..machine.mapping import map_window, map_window_reference
     from ..machine.mimd_engine import MimdEngine
     from ..machine.processor import GridProcessor
     from ..memory.system import MemorySystem
@@ -199,12 +200,15 @@ def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
                     map_window(kernel, config, params, iterations=iterations),
                     fresh_memory(config), seed=1)
                 reference = DataflowEngine(
-                    map_window(kernel, config, params, iterations=iterations),
+                    map_window_reference(kernel, config, params,
+                                         iterations=iterations),
                     fresh_memory(config), seed=1)
                 t_fast = fast.run()
                 t_ref = reference.run_reference()
             except Exception as exc:
                 return fail(stage, f"crash: {exc!r}")
+            if fast.window != reference.window:
+                return fail(stage, "fast/reference mapped windows diverge")
             if t_fast != t_ref:
                 return fail(stage, "fast/reference window timings diverge")
             if fast.stats != reference.stats:

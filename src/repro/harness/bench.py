@@ -39,8 +39,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from ..machine.fastcore import VALID_MODES, active_core, reset_soa_counters, \
-    set_engine_core, soa_counters
+from ..machine.fastcore import reset_soa_counters, soa_counters
 from ..machine.window_cache import SHARED_WINDOW_CACHE
 from ..obs.ledger import LEDGER, add_ledger_arguments, configure_from_args
 from ..obs.metrics import Histogram
@@ -214,7 +213,6 @@ def bench_experiments(
         "jobs": jobs,
         "cache_dir": cache_dir,
         "backend": backend,
-        "engine_core": active_core(),
         # Cold-phase repeat protocol: cold_serial (and its breakdown)
         # are medians over this many fresh-context repeats; the raw
         # per-repeat wall times are kept for spread inspection.
@@ -340,12 +338,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also time a disk-cache replay through DIR",
     )
     parser.add_argument(
-        "--engine-core", default=None, choices=VALID_MODES,
-        help="engine-core selection (repro.machine.fastcore): 'array' "
-             "for the numpy fast paths, 'object' for the reference "
-             "engines (default: REPRO_ENGINE_CORE or 'array')",
-    )
-    parser.add_argument(
         "--output", default="BENCH_perf.json", metavar="FILE",
         help="report path (default BENCH_perf.json; '-' for stdout only)",
     )
@@ -353,8 +345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_profile_arguments(parser)
     args = parser.parse_args(argv)
 
-    if args.engine_core is not None:
-        set_engine_core(args.engine_core)
     configure_from_args(args)
     kwargs = dict(
         records=args.records,

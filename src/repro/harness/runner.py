@@ -14,7 +14,6 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from ..backends import backend_names, get as get_backend
-from ..machine.fastcore import VALID_MODES, active_core, set_engine_core
 from ..machine.params import MachineParams
 from ..obs.ledger import LEDGER, add_ledger_arguments, configure_from_args
 from ..obs.progress import progress_ticker
@@ -86,13 +85,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "invocations replay cached simulation points",
     )
     parser.add_argument(
-        "--engine-core", default=None, choices=VALID_MODES,
-        help="engine-core selection (repro.machine.fastcore): 'array' "
-             "for the numpy fast paths, 'object' for the reference "
-             "engines (default: REPRO_ENGINE_CORE or 'array'); stdout "
-             "is byte-identical either way",
-    )
-    parser.add_argument(
         "--progress", action="store_true",
         help="print a live progress line (completed/total, rate, ETA, "
              "in-flight points) to stderr while sweeps run",
@@ -101,8 +93,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_profile_arguments(parser)
     args = parser.parse_args(argv)
 
-    if args.engine_core is not None:
-        set_engine_core(args.engine_core)
     configure_from_args(args)
     backend = get_backend(args.backend)
     if not backend.uses_grid_params and (
@@ -161,7 +151,6 @@ def run_summary(ctx: experiments.ExperimentContext) -> str:
     stats = ctx.cache.stats
     lines = [
         "run summary",
-        f"  engine core      : {active_core()}",
         f"  simulated points : {len(ctx.point_seconds)}"
         f" ({sum(ctx.point_seconds.values()):.3f}s simulating)",
         f"  run cache        : {stats.hits} hits / {stats.misses} misses"

@@ -27,14 +27,9 @@ from ..memory.ports import PortQueue
 from ..memory.system import MemorySystem
 from ..obs.metrics import METRICS
 from ..obs.trace import EXEC, TRACE
-from .fastcore import active_core
+from .fastcore import dataflow_core as _dataflow_core
 from .mapping import COMPUTE, LDI, LMW, LOAD, LUT, STORE, MappedWindow
 from .stats import WindowTiming
-
-try:
-    from .fastcore import dataflow_core as _dataflow_core
-except ImportError:  # numpy unavailable: the object core stands alone
-    _dataflow_core = None
 
 
 @dataclass
@@ -107,250 +102,17 @@ class DataflowEngine:
     # ---- main loop -----------------------------------------------------------
 
     def run(self) -> WindowTiming:
-        """Time the window (optimized loop).
+        """Time the window (the production path).
 
-        Produces *identical* :class:`WindowTiming` (and stats, and trace)
-        to :meth:`run_reference`; the fuzzer-corpus equivalence suite in
-        ``tests/machine/test_engine_equivalence.py`` guards that.  The
-        optimizations are mechanical: instance dataclass fields are
-        flattened into parallel lists, attribute lookups are hoisted into
-        locals, node-pair route delays are memoized, the per-node
-        ready heaps hold precomputed static priority ranks (the issue
-        order (depth, uid) is a fixed total order) instead of tuples,
-        and LMW chunks reserve their SMC port and channel slots through
-        the batched memory APIs (``lmw_deliver_fast``).
+        Runs the structure-of-arrays core
+        (:func:`repro.machine.fastcore.dataflow_core.run_array`): the same
+        cycle loop as :meth:`run_reference`, over per-uid arrays
+        precomputed once per window.  It produces *identical*
+        :class:`WindowTiming`, stats and trace; the equivalence suites in
+        ``tests/machine/test_engine_equivalence.py`` and
+        ``tests/machine/test_fastcore_equivalence.py`` guard that.
         """
-        if _dataflow_core is not None and active_core() == "array":
-            # Structure-of-arrays core (repro.machine.fastcore): same
-            # cycle loop over per-uid arrays precomputed once per window.
-            return _dataflow_core.run_array(self)
-        window = self.window
-        params = self.params
-        memory = self.memory
-        instances = window.instances
-        n = len(instances)
-
-        kinds = [inst.kind for inst in instances]
-        nodes_of = [inst.node for inst in instances]
-        latencies = [inst.latency for inst in instances]
-        consumers_of = [inst.consumers for inst in instances]
-        remaining = [inst.operands for inst in instances]
-        sanitize = SANITIZER.enabled
-        trace = self.trace
-        if trace is None and (TRACE.enabled or sanitize):
-            # Recording (and the sanitizer's monotone-issue check) needs
-            # an issue trace even when the caller did not ask for one;
-            # collect into a local so ``self.trace`` keeps its documented
-            # None-when-disabled value.
-            trace = []
-
-        # Static issue priorities: (depth, uid) never changes, so rank
-        # each instance once and let the per-node heaps carry plain ints.
-        # The zip-sort compares tuples at C speed (no key lambda); the
-        # order is a pure function of the window, so it is cached there
-        # and shared by every engine run over the (possibly rebased)
-        # window.
-        order = window.issue_order
-        if order is None:
-            order = [uid for _, uid in
-                     sorted(zip((inst.depth for inst in instances), range(n)))]
-            window.issue_order = order
-        rank_of = [0] * n
-        for rank, uid in enumerate(order):
-            rank_of[uid] = rank
-
-        # Node-pair routing is static; memoize (hops, delay) per pair as
-        # pairs are first used (an 8x8 array revisits few hundred pairs
-        # across thousands of instances).
-        node_distance = params.node_distance
-        route_delay = params.route_delay
-        nnodes = params.nodes
-        pair_cache: Dict[int, tuple] = {}
-        pair_cache_get = pair_cache.get
-        edge_of = [params.route_to_row_edge(node)
-                   for node in range(params.nodes)]
-
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        ready_heaps: List[List[int]] = [[] for _ in range(params.nodes)]
-        active_nodes = set()
-        arrivals: Dict[int, List[int]] = {}
-        arrival_cycles: List[int] = []
-        arrivals_pop = arrivals.pop
-
-        def schedule_arrival(uid: int, at: int) -> None:
-            at = int(at)
-            bucket = arrivals.get(at)
-            if bucket is None:
-                arrivals[at] = [uid]
-                heappush(arrival_cycles, at)
-            else:
-                bucket.append(uid)
-
-        # Register-file reads deliver scalar constants (cold prologue —
-        # shared with the reference path).
-        self._deliver_const_reads(schedule_arrival)
-
-        for uid in range(n):
-            if remaining[uid] == 0:
-                node = nodes_of[uid]
-                heappush(ready_heaps[node], rank_of[uid])
-                active_nodes.add(node)
-
-        cycle = 0
-        issued = 0
-        total = n
-        last_completion = 0
-        store_drain = 0
-        last_store_arrival = 0
-        issued_delta = 0
-        hops_delta = 0
-        l1_delta = 0
-        l0_lut = window.config.l0_data
-        l1_access = memory.l1_access
-        smc_store = memory.smc_store
-        ceil = math.ceil
-        stats = self.stats
-
-        def sync_stats() -> None:
-            stats.issued += issued_delta
-            stats.network_hops += hops_delta
-            stats.l1_accesses += l1_delta
-
-        while issued < total:
-            # Deliver operands that arrive this cycle.
-            while arrival_cycles and arrival_cycles[0] <= cycle:
-                at = heappop(arrival_cycles)
-                for uid in arrivals_pop(at, ()):
-                    left = remaining[uid] - 1
-                    remaining[uid] = left
-                    if left == 0:
-                        node = nodes_of[uid]
-                        heappush(ready_heaps[node], rank_of[uid])
-                        active_nodes.add(node)
-
-            # Each node issues at most one ready instruction this cycle.
-            for node in list(active_nodes):
-                heap = ready_heaps[node]
-                if not heap:
-                    active_nodes.discard(node)
-                    continue
-                uid = order[heappop(heap)]
-                if not heap:
-                    active_nodes.discard(node)
-                issued += 1
-                issued_delta += 1
-                kind = kinds[uid]
-                if trace is not None:
-                    inst = instances[uid]
-                    trace.append(
-                        (cycle, node, kind, inst.iteration, inst.kernel_iid)
-                    )
-                if kind == COMPUTE or (kind == LUT and l0_lut):
-                    completion = cycle + latencies[uid]
-                    for cuid in consumers_of[uid]:
-                        pair = node * nnodes + nodes_of[cuid]
-                        hit = pair_cache_get(pair)
-                        if hit is None:
-                            hops = node_distance(node, nodes_of[cuid])
-                            hit = (hops, route_delay(hops))
-                            pair_cache[pair] = hit
-                        hops_delta += hit[0]
-                        schedule_arrival(cuid, completion + hit[1])
-                elif kind == STORE:
-                    inst = instances[uid]
-                    arrival = cycle + edge_of[node]
-                    done = smc_store(inst.row, inst.address, arrival)
-                    completion = ceil(done)
-                    if completion > store_drain:
-                        store_drain = completion
-                    if sanitize and arrival > last_store_arrival:
-                        last_store_arrival = arrival
-                elif kind == LMW:
-                    inst = instances[uid]
-                    stats.lmw_requests += 1
-                    word_cycles = memory.lmw_deliver_fast(
-                        inst.row, cycle + 1, inst.words
-                    )
-                    completion = cycle + 1
-                    for word_cycle, word_cons in zip(
-                        word_cycles, inst.word_consumers
-                    ):
-                        for cuid in word_cons:
-                            pair = node * nnodes + nodes_of[cuid]
-                            hit = pair_cache_get(pair)
-                            if hit is None:
-                                hops = node_distance(node, nodes_of[cuid])
-                                hit = (hops, route_delay(hops))
-                                pair_cache[pair] = hit
-                            hops_delta += hit[0]
-                            at = word_cycle + hit[1]
-                            schedule_arrival(cuid, at)
-                            if at > completion:
-                                completion = at
-                else:  # LUT (L1 path), LDI, LOAD
-                    inst = instances[uid]
-                    if kind == LUT:
-                        address = self._lut_address(inst)
-                    elif kind == LDI:
-                        address = self._ldi_address(inst)
-                    else:
-                        address = inst.address
-                    edge = edge_of[node]
-                    back = l1_access(address, cycle + edge) + edge
-                    l1_delta += 1
-                    for cuid in consumers_of[uid]:
-                        pair = node * nnodes + nodes_of[cuid]
-                        hit = pair_cache_get(pair)
-                        if hit is None:
-                            hops = node_distance(node, nodes_of[cuid])
-                            hit = (hops, route_delay(hops))
-                            pair_cache[pair] = hit
-                        hops_delta += hit[0]
-                        schedule_arrival(cuid, back + hit[1])
-                    completion = back
-                if completion > last_completion:
-                    last_completion = completion
-
-            if issued >= total:
-                break
-            if active_nodes:
-                cycle += 1
-            elif arrival_cycles:
-                cycle = arrival_cycles[0]
-            else:
-                sync_stats()
-                raise DeadlockError(
-                    f"issued {issued}/{total} instances in window of "
-                    f"{window.kernel.name}; remaining operand counts are "
-                    "unsatisfiable"
-                )
-
-        sync_stats()
-        if sanitize:
-            self._sanitize_run(
-                trace, remaining, arrivals, store_drain, last_store_arrival
-            )
-        if METRICS.enabled or TRACE.enabled:
-            self._publish_observability(
-                trace, int(max(last_completion, store_drain, 1))
-            )
-        fetch_cycles = -(-window.machine_instructions // params.fetch_bandwidth)
-        cycles = max(last_completion, store_drain, 1)
-        return WindowTiming(
-            iterations=window.iterations,
-            machine_instructions=window.machine_instructions,
-            cycles=int(cycles),
-            issue_done_cycle=int(last_completion),
-            store_drain_cycle=int(store_drain),
-            fetch_cycles=fetch_cycles,
-            detail={
-                "network_hops": float(stats.network_hops),
-                "l1_accesses": float(stats.l1_accesses),
-                "regfile_reads": float(stats.regfile_reads),
-                "lmw_requests": float(stats.lmw_requests),
-            },
-        )
+        return _dataflow_core.run_array(self)
 
     def _sanitize_run(
         self,
@@ -451,19 +213,13 @@ class DataflowEngine:
                     stats.issued / (self.params.nodes * cycles),
                 )
         if TRACE.enabled and trace:
-            soa = getattr(window, "_fastcore_soa", None)
-            if soa is not None:
-                # Read the SoA columns instead of touching ``instances``
-                # (which would materialize a lazy window just for a trace).
-                latency_of = {
-                    (it, kiid): lat for it, kiid, lat
-                    in zip(soa.iters, soa.kiids, soa.latencies)
-                }
-            else:
-                latency_of = {
-                    (inst.iteration, inst.kernel_iid): inst.latency
-                    for inst in window.instances
-                }
+            # Read the SoA columns instead of touching ``instances``
+            # (which would materialize a lazy window just for a trace).
+            soa = window._fastcore_soa
+            latency_of = {
+                (it, kiid): lat for it, kiid, lat
+                in zip(soa.iters, soa.kiids, soa.latencies)
+            }
             complete = TRACE.complete
             for cycle, node, kind, iteration, kernel_iid in trace:
                 complete(
@@ -471,22 +227,6 @@ class DataflowEngine:
                     ts=cycle,
                     dur=max(1, latency_of.get((iteration, kernel_iid), 1)),
                     args={"iter": iteration, "iid": kernel_iid},
-                )
-
-    def _deliver_const_reads(self, schedule_arrival) -> None:
-        """Reserve register-file ports and schedule constant deliveries."""
-        params = self.params
-        instances = self.window.instances
-        regfile = PortQueue(params.regfile_read_ports, name="regfile")
-        for read in self.window.const_reads:
-            grant = regfile.reserve(0)
-            self.stats.regfile_reads += 1
-            for cuid in read.consumers:
-                node = instances[cuid].node
-                schedule_arrival(
-                    cuid,
-                    grant + params.regfile_latency
-                    + params.route_from_regfile(node),
                 )
 
     # ---- reference loop (equivalence guard) --------------------------------

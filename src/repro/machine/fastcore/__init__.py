@@ -1,49 +1,27 @@
 """Batch-stepped array cores for the simulator's hot loops.
 
-The object engines (:mod:`repro.machine.dataflow_engine`,
-:mod:`repro.machine.mimd_engine`) and the mapping pipeline
-(:mod:`repro.machine.placement`, :mod:`repro.machine.mapping`) walk
-per-instance Python objects; this package re-implements their inner
-loops as structure-of-arrays kernels over numpy:
+The block-style pipeline's production paths are structure-of-arrays
+kernels over numpy:
 
 * :mod:`.dataflow_core` — the grid dataflow issue loop over flattened
   per-uid arrays with precomputed consumer routes and vectorized
-  LUT/LDI address streams, cached on the mapped window;
-* :mod:`.mimd_core` — the MIMD per-record instruction loop compiled to
-  a max-plus (tropical) affine plan and evaluated per record as one
-  matrix step;
-* :mod:`.map_core` — template-cloned window expansion and array-scored
-  iteration placement.
+  LUT/LDI address streams, cached on the mapped window
+  (:meth:`DataflowEngine.run <repro.machine.dataflow_engine.DataflowEngine.run>`);
+* :mod:`.map_core` — template-cloned lazy window expansion and
+  array-scored iteration placement (``map_window`` /
+  ``place_iterations``).
 
-Selection runs through :func:`active_core`: the ``REPRO_ENGINE_CORE``
-environment variable (``array`` | ``object``), overridable per process
-with :func:`set_engine_core` or scoped with :func:`using_core`.  The
-default is ``array``; the object loops remain the bit-exact reference
-oracle (``tests/machine/test_fastcore_equivalence.py`` pins equality),
-and anything the array path does not cover — a missing numpy, or a MIMD
-record whose live set takes the L1 round-trip paths — falls back to
-them automatically.
+Each has one object-level oracle (``DataflowEngine.run_reference``,
+``map_window_reference``, ``place_iterations_reference``) reachable
+only from the tests and ``repro-check``;
+``tests/machine/test_fastcore_equivalence.py`` pins production and
+oracle bit-exact.  The MIMD engine has no array core: its object
+record loop won the interleaved A/B (DESIGN.md section 10).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional
-
-try:
-    import numpy  # noqa: F401  (probe only; cores import it themselves)
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the container ships numpy
-    HAVE_NUMPY = False
-
-#: Engine-core names :func:`set_engine_core` / :func:`using_core` accept.
-VALID_MODES = ("array", "object")
-
-#: Process-wide override; ``None`` defers to ``REPRO_ENGINE_CORE``.
-_MODE: Optional[str] = None
+from typing import Dict
 
 #: Process-wide SoA lifecycle accounting: ``fused`` windows got their
 #: structure-of-arrays buffers straight from the template expansion,
@@ -67,79 +45,4 @@ def reset_soa_counters() -> None:
         SOA_COUNTERS[key] = 0
 
 
-def _warn_no_numpy() -> None:
-    warnings.warn(
-        "engine core 'array' requested but numpy is unavailable; "
-        "falling back to the object engines",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _validate(mode: Optional[str]) -> None:
-    if mode is not None and mode not in VALID_MODES:
-        raise ValueError(
-            f"unknown engine core {mode!r}; choose one of {VALID_MODES}"
-        )
-
-
-def active_core() -> str:
-    """The engine core timing runs select right now.
-
-    ``"object"`` only when explicitly requested (or numpy is missing);
-    any other setting — including none at all — means ``"array"``.
-    """
-    if not HAVE_NUMPY:
-        return "object"
-    mode = _MODE if _MODE is not None else os.environ.get("REPRO_ENGINE_CORE")
-    return "object" if mode == "object" else "array"
-
-
-def set_engine_core(mode: Optional[str]) -> None:
-    """Select the engine core for this process *and* its pool workers.
-
-    Mirrors the choice into ``REPRO_ENGINE_CORE`` so processes spawned
-    by :func:`repro.perf.parallel.run_points` inherit it — a parent and
-    its workers must agree on the core or their run fingerprints would
-    address different cache entries.  ``None`` clears the override.
-    """
-    global _MODE
-    _validate(mode)
-    if mode == "array" and not HAVE_NUMPY:
-        _warn_no_numpy()
-    _MODE = mode
-    if mode is None:
-        os.environ.pop("REPRO_ENGINE_CORE", None)
-    else:
-        os.environ["REPRO_ENGINE_CORE"] = mode
-
-
-@contextmanager
-def using_core(mode: Optional[str]) -> Iterator[None]:
-    """Scope an engine-core choice to a block (this process only)."""
-    global _MODE
-    _validate(mode)
-    previous = _MODE
-    _MODE = mode
-    try:
-        yield
-    finally:
-        _MODE = previous
-
-
-if not HAVE_NUMPY and os.environ.get("REPRO_ENGINE_CORE") == "array":
-    # The explicit environment request cannot be honored; degrading to
-    # the (bit-identical) object engines deserves a visible warning.
-    _warn_no_numpy()
-
-
-__all__ = [
-    "HAVE_NUMPY",
-    "SOA_COUNTERS",
-    "VALID_MODES",
-    "active_core",
-    "reset_soa_counters",
-    "set_engine_core",
-    "soa_counters",
-    "using_core",
-]
+__all__ = ["SOA_COUNTERS", "reset_soa_counters", "soa_counters"]

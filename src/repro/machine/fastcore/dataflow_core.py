@@ -1,10 +1,10 @@
-"""Structure-of-arrays fast core for the grid dataflow engine.
+"""Structure-of-arrays core for the grid dataflow engine.
 
-:meth:`DataflowEngine.run` re-derives flat per-uid views of the mapped
-window on every call and resolves operand routes through a per-run
-memoization cache.  This core hoists all of that into a one-time
-structure-of-arrays precompute cached on the window itself (windows are
-shared across engine runs and sweep points via
+This is the production path of :meth:`DataflowEngine.run`.  The
+oracle, :meth:`DataflowEngine.run_reference`, walks instance objects and
+re-derives routes per delivery; this core hoists all of that into a
+one-time structure-of-arrays precompute cached on the window itself
+(windows are shared across engine runs and sweep points via
 :class:`~repro.machine.window_cache.MappedWindowCache`):
 
 * a dispatch code per instance (compute-like / store / LMW / static-
@@ -18,13 +18,13 @@ shared across engine runs and sweep points via
   engine seed (cached per seed — the cold and warm passes use seeds 1
   and 2 on the same window).
 
-LOAD/STORE addresses are read from the instances at issue time because
-:func:`~repro.machine.mapping.rebase_window` mutates them between runs.
-The cycle loop itself keeps the exact control flow of the object loop —
-same heaps, same ``active_nodes`` set add/discard sequence — because
-the issue order inside one cycle is observable in the timings: this is
-a data-layout rewrite, not a scheduling change, and the equivalence
-suite pins it to the object core bit for bit.
+LOAD/STORE addresses are affine in the window's record offset, so they
+are evaluated once per offset from the SoA address columns.  The cycle
+loop itself keeps the exact control flow of the reference loop — same
+heaps, same ``active_nodes`` set add/discard sequence — because the
+issue order inside one cycle is observable in the timings: this is a
+data-layout rewrite, not a scheduling change, and the equivalence
+suite pins it to the oracle bit for bit.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def build_soa(window) -> WindowSoA:
     # Register-file constant deliveries, precomputed once: the read
     # sequence is fixed per window and every read asks the FIFO regfile
     # ports for cycle 0, so the k-th grant is ``k // ports`` — exactly
-    # what DataflowEngine._deliver_const_reads computes per run.
+    # what the reference loop's register-file prologue computes per run.
     const_reads = window.const_reads
     soa.n_const_reads = len(const_reads)
     deliveries: List[tuple] = []
@@ -254,7 +254,7 @@ def build_soa(window) -> WindowSoA:
     soa.const_deliveries = deliveries
 
     # The static issue order (rank per uid) is a pure function of the
-    # window; share it with the object loop's cache on the window.
+    # window; cache it there (the fused expansion fills it at map time).
     # np.lexsort's last key is primary: sort by depth, break ties by
     # uid — exactly sorted(zip(depth, uid)).
     order = window.issue_order
@@ -323,7 +323,7 @@ def _addresses(soa: WindowSoA, seed: int) -> List[int]:
 
 
 def run_array(engine) -> WindowTiming:
-    """Array-core replacement for :meth:`DataflowEngine.run`."""
+    """The production body of :meth:`DataflowEngine.run`."""
     from ..dataflow_engine import DeadlockError
 
     window = engine.window
@@ -394,7 +394,7 @@ def run_array(engine) -> WindowTiming:
 
     # Register-file constant deliveries, replayed from the precomputed
     # (consumer uid, arrival) pairs — same arrivals, same bucket
-    # insertion order as DataflowEngine._deliver_const_reads.
+    # insertion order as the reference loop's register-file prologue.
     stats = engine.stats
     stats.regfile_reads += soa.n_const_reads
     for cuid, at in soa.const_deliveries:

@@ -23,9 +23,10 @@ rewrite as the engine cores:
   iteration's assignment, and advances regular-memory addresses by the
   per-iteration stride.
 
-Both functions are pinned to the object implementations by the
-equivalence suite; ``repro.machine.placement`` / ``repro.machine.mapping``
-select them when the ``array`` engine core is active.
+Both are the production paths of ``repro.machine.placement`` /
+``repro.machine.mapping``; the equivalence suites pin them to the
+object oracles ``place_iterations_reference`` and
+``map_window_reference``.
 """
 
 from __future__ import annotations
@@ -108,10 +109,11 @@ def _greedy_place(
 
 
 def place_iterations_array(kernel, params, iterations: int):
-    """Array-scored twin of ``placement.place_iterations``.
+    """The production body of ``placement.place_iterations``.
 
-    Same memoization by region signature, same metrics, same error
-    messages; returns an equal :class:`~repro.machine.placement.Placement`
+    Memoizes by region signature; returns a
+    :class:`~repro.machine.placement.Placement` equal to
+    ``place_iterations_reference`` with the same error messages
     (``node_rows`` shares one list object per memo replay).
     """
     from ..placement import Placement, region_width
@@ -195,7 +197,7 @@ def place_iterations_array(kernel, params, iterations: int):
 
 
 def expand_window(kernel, config, params, U, record_offset, placement):
-    """Template-to-SoA twin of the ``mapping.map_window`` expansion.
+    """The production expansion of ``mapping.map_window``.
 
     An iteration's uid block always has the same shape — body instances
     in kernel order, then regular-memory loads, then stores — and its
@@ -208,10 +210,10 @@ def expand_window(kernel, config, params, U, record_offset, placement):
     placement matrix) and is retained as a
     :class:`~repro.machine.mapping._LazyExpansion` payload, so
     :class:`~repro.machine.mapping.Instance` objects only ever exist if
-    something touches ``window.instances`` — the object-core engines or
-    introspection — in which case the deferred clone loop produces the
-    identical instance stream (same uids, consumer order, addresses,
-    priorities) as the eager object expansion.
+    something touches ``window.instances`` — the reference engine loop
+    or introspection — in which case the deferred clone loop produces
+    the identical instance stream (same uids, consumer order, addresses,
+    priorities) as the eager expansion in ``map_window_reference``.
     """
     from ..mapping import (
         MappedWindow, _LazyExpansion, _expansion_plan,
@@ -266,7 +268,7 @@ def expand_window(kernel, config, params, U, record_offset, placement):
         store_rows.append((out_slot, ppos))
         body_cons[ppos].append(rel)
         rel += 1
-    # Dataflow edges last — matching the object expansion's second pass,
+    # Dataflow edges last — matching the eager expansion's second pass,
     # so each producer's consumers list holds its stores first.
     for (iid, _kind, _latency, _address, _words, _useful, _depth,
          producers, _rec_srcs, _const_slots, _operands) in body_plan:
@@ -510,7 +512,7 @@ def _attach_soa(window, body_rows, lmw_rows, load_rows, store_rows,
         soa.zero_uids = []
 
     # ---- register-file constant deliveries ------------------------------
-    # Mirrors DataflowEngine._deliver_const_reads: reads arrive
+    # Mirrors the reference loop's register-file prologue: reads arrive
     # iteration-major in slot order, all asking the regfile ports for
     # cycle 0, so the FIFO grant of the k-th read is ``k // ports``.
     soa.n_const_reads = U * len(cr_rows)

@@ -29,14 +29,10 @@ from ..isa.instruction import Const, Immediate, InstResult, RecordInput
 from ..isa.kernel import Kernel
 from ..isa.opcodes import OpClass
 from .config import MachineConfig
-from .fastcore import active_core
+from .fastcore import map_core as _map_core
 from .params import MachineParams
-from .placement import Placement, max_unroll, place_iterations
-
-try:
-    from .fastcore import map_core as _map_core
-except ImportError:  # numpy unavailable: the object expansion stands alone
-    _map_core = None
+from .placement import Placement, max_unroll, place_iterations, \
+    place_iterations_reference
 
 # Instance kinds
 COMPUTE = "compute"
@@ -88,13 +84,13 @@ class _LazyExpansion:
     """Deferred instance materialization: the per-block expansion
     template plus the clone-loop inputs.
 
-    The array expansion (:mod:`repro.machine.fastcore.map_core`) derives
-    the engine's structure-of-arrays buffers straight from this template
-    and never builds :class:`Instance` objects; the payload keeps enough
-    to run the object expansion's clone loop on demand — the object-core
-    engines, window-corruption tests and ad-hoc introspection all still
-    see the exact instance stream ``map_window`` would have built
-    eagerly.  Addresses are *relative* (record word index / output
+    The production expansion (:mod:`repro.machine.fastcore.map_core`)
+    derives the engine's structure-of-arrays buffers straight from this
+    template and never builds :class:`Instance` objects; the payload
+    keeps enough to run the eager expansion's clone loop on demand — the
+    reference engine loop, window-corruption tests and ad-hoc
+    introspection all still see the exact instance stream
+    :func:`map_window_reference` builds eagerly.  Addresses are *relative* (record word index / output
     slot); materialization adds the window's current bases, so a lazy
     window rebased n times materializes exactly like a fresh map at the
     final offset.
@@ -120,14 +116,14 @@ class _LazyExpansion:
 class MappedWindow:
     """Everything the dataflow engine needs to time one window.
 
-    Under the array engine core the window arrives *lazy*: the engine's
+    :func:`map_window` returns it *lazy*: the engine's
     structure-of-arrays buffers (``_fastcore_soa``) are the primary
     representation and ``instances`` / ``const_reads`` materialize on
     first touch from the retained expansion template
-    (:class:`_LazyExpansion`) — bit-identical to the eager object
-    expansion.  The object core builds the instance lists eagerly, as
-    before.  :meth:`instance_view` serves single-instance introspection
-    (traces, sanitizers, tests) without forcing materialization.
+    (:class:`_LazyExpansion`) — bit-identical to the eager expansion of
+    :func:`map_window_reference`.  :meth:`instance_view` serves
+    single-instance introspection (traces, sanitizers, tests) without
+    forcing materialization.
     """
 
     def __init__(
@@ -167,7 +163,7 @@ class MappedWindow:
         #: (depth, uid)); a pure function of the instances, so engine
         #: runs share it
         self.issue_order: Optional[List[int]] = None
-        #: deferred-expansion template (array core only)
+        #: deferred-expansion template (lazy windows only)
         self._lazy: Optional[_LazyExpansion] = None
 
     @property
@@ -210,7 +206,7 @@ class MappedWindow:
         return list(self.instances)
 
     def _materialize(self) -> None:
-        """Run the deferred clone loop (identical to the object
+        """Run the deferred clone loop (identical to the eager
         expansion's, down to list-object allocation order)."""
         lazy = self._lazy
         if lazy is None:
@@ -454,8 +450,8 @@ def _expansion_plan(kernel: Kernel, config: MachineConfig, params: MachineParams
     (producer iids, record-word indices, constant slots).  The operand
     count an instance starts with follows directly — immediates are
     encoded in the instruction and contribute nothing.  Shared by the
-    object expansion below and the template-cloning array expansion in
-    :mod:`repro.machine.fastcore.map_core`.
+    template-cloning expansion in :mod:`repro.machine.fastcore.map_core`
+    and the eager expansion of :func:`map_window_reference`.
 
     Memoized on the kernel instance, keyed by the config/param fields
     the classification can depend on (the plan is iteration-count
@@ -540,20 +536,37 @@ def map_window(
 
     ``record_offset`` advances the regular-memory addresses so consecutive
     windows stream through memory (used to measure warm steady-state
-    windows on the cached paths).
+    windows on the cached paths).  The window comes back lazy, built by
+    the template-cloned expansion of
+    :func:`repro.machine.fastcore.map_core.expand_window`;
+    :func:`map_window_reference` is its eager oracle.
     """
     if config.local_pc:
         raise ValueError("MIMD configurations use repro.machine.mimd_engine")
     U = iterations if iterations is not None else window_iterations(kernel, config, params)
     placement = place_iterations(kernel, params, U)
-    if (_map_core is not None and active_core() == "array"
-            and len(placement.node_rows) == U):
-        # Template-cloned expansion (repro.machine.fastcore.map_core):
-        # same instances, built by cloning one per-distinct-placement
-        # template instead of re-deriving every iteration.
-        return _map_core.expand_window(
-            kernel, config, params, U, record_offset, placement
-        )
+    return _map_core.expand_window(
+        kernel, config, params, U, record_offset, placement
+    )
+
+
+def map_window_reference(
+    kernel: Kernel,
+    config: MachineConfig,
+    params: MachineParams,
+    iterations: Optional[int] = None,
+    record_offset: int = 0,
+) -> MappedWindow:
+    """Eager expansion: the executable specification of :func:`map_window`.
+
+    Places with :func:`place_iterations_reference` and builds every
+    :class:`Instance` up front, iteration by iteration.  The
+    equivalence suites pin :func:`map_window` to it field for field.
+    """
+    if config.local_pc:
+        raise ValueError("MIMD configurations use repro.machine.mimd_engine")
+    U = iterations if iterations is not None else window_iterations(kernel, config, params)
+    placement = place_iterations_reference(kernel, params, U)
 
     instances: List[Instance] = []
     const_reads: List[ConstRead] = []

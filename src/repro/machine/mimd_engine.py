@@ -46,14 +46,8 @@ from ..obs.metrics import METRICS
 from ..obs.trace import CTL, EXEC, TRACE
 from ..perf.phases import PHASES, perf_counter
 from .config import MachineConfig
-from .fastcore import active_core
 from .params import MachineParams
 from .stats import RunResult
-
-try:
-    from .fastcore import mimd_core as _mimd_core
-except ImportError:  # numpy unavailable: the object core stands alone
-    _mimd_core = None
 
 Number = Union[int, float]
 
@@ -237,16 +231,6 @@ class MimdEngine:
         if self.functional:
             return self._run_record_reference(node, start, record,
                                               record_index)
-        if _mimd_core is not None and active_core() == "array":
-            # Max-plus affine core (repro.machine.fastcore): covered
-            # records evaluate as one matrix step; uncovered trip
-            # counts (live L1 round trips) fall through to the object
-            # loop below.
-            timed = _mimd_core.run_record(self, node, start, record,
-                                          record_index)
-            if timed is not None:
-                return timed
-
         params = self.params
         memory = self.memory
         stats = self.stats

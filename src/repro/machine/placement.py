@@ -21,15 +21,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..isa.kernel import Kernel
-from ..obs.metrics import METRICS
 from ..perf.phases import PHASES, perf_counter
-from .fastcore import active_core
+from .fastcore import map_core as _map_core
 from .params import MachineParams
-
-try:
-    from .fastcore import map_core as _map_core
-except ImportError:  # numpy unavailable: the object placement stands alone
-    _map_core = None
 
 
 @dataclass
@@ -148,94 +142,26 @@ def place_iterations(
     Raises ``ValueError`` when the request exceeds total reservation-station
     capacity; callers pick ``iterations`` with :func:`max_unroll`.
 
+    The production path is the array-scored greedy pass in
+    :func:`repro.machine.fastcore.map_core.place_iterations_array`.
     Placement of one iteration is a deterministic function of the kernel
-    and the slot state of the nodes its greedy pass reads (the final
-    region of :func:`_place_one_iteration`), so repeated iterations are
-    memoized by *region signature* — ``(start node, slots_used over that
-    region at entry)``.  Signatures recur every time the unroll wraps the
-    array, turning the greedy pass from O(iterations) to O(distinct
-    signatures).  :func:`place_iterations_reference` is the un-memoized
-    executable specification; the equivalence suite pins the two to
-    identical placements.
-
-    Under the ``array`` engine core the greedy pass runs the
-    array-scored variant in :mod:`repro.machine.fastcore.map_core`
-    (pinned to this one by the fastcore equivalence suite).  Wall time
-    is credited to the ``placement`` phase either way, so the mapping
-    phase breakdown separates placement from window expansion.
+    and the slot state of the nodes its greedy pass reads, so repeated
+    iterations are memoized by *region signature* — ``(start node,
+    slots_used over that region at entry)`` — turning the pass from
+    O(iterations) to O(distinct signatures).
+    :func:`place_iterations_reference` is the un-memoized executable
+    specification; the equivalence suites pin the two to identical
+    placements.  Wall time is credited to the ``placement`` phase, so
+    the mapping phase breakdown separates placement from window
+    expansion.
     """
     if not PHASES.enabled:
-        return _place_iterations_impl(kernel, params, iterations)
+        return _map_core.place_iterations_array(kernel, params, iterations)
     started = perf_counter()
     try:
-        return _place_iterations_impl(kernel, params, iterations)
+        return _map_core.place_iterations_array(kernel, params, iterations)
     finally:
         PHASES.add("placement", perf_counter() - started)
-
-
-def _place_iterations_impl(
-    kernel: Kernel, params: MachineParams, iterations: int
-) -> Placement:
-    if _map_core is not None and active_core() == "array":
-        return _map_core.place_iterations_array(kernel, params, iterations)
-    width = region_width(kernel, params)
-    nodes = params.nodes
-    capacity = params.slots_per_node
-    total_needed = iterations * len(kernel.body)
-    if total_needed > nodes * capacity:
-        raise ValueError(
-            f"cannot place {iterations} x {len(kernel.body)} instructions: "
-            f"capacity is {nodes * capacity} slots"
-        )
-
-    slots_used: Dict[int, int] = {n: 0 for n in range(nodes)}
-    node_of: Dict[Tuple[int, int], int] = {}
-    home_row: List[int] = []
-    node_rows: List[List[int]] = []
-    body = kernel.body
-    #: start node -> [(entry slot signature, region, assignment)]
-    memo: Dict[int, List[Tuple[Tuple[int, ...], List[int], List[int]]]] = {}
-
-    for u in range(iterations):
-        start = (u * width) % nodes
-        home_row.append((start // params.cols) % params.rows)
-        replay = None
-        for signature, region, assignment in memo.get(start, ()):
-            if all(slots_used[n] == s for n, s in zip(region, signature)):
-                replay = assignment
-                break
-        if replay is not None:
-            for inst, node in zip(body, replay):
-                node_of[(u, inst.iid)] = node
-                slots_used[node] += 1
-            node_rows.append(replay)
-            continue
-        entry_slots = dict(slots_used)
-        try:
-            region, assignment = _place_one_iteration(
-                kernel, params, u, width, slots_used, node_of
-            )
-        except ValueError:
-            raise ValueError(
-                f"placement overflow: {kernel.name} x "
-                f"{iterations} exceeds reservation capacity"
-            ) from None
-        memo.setdefault(start, []).append(
-            (tuple(entry_slots[n] for n in region), region, assignment)
-        )
-        node_rows.append(assignment)
-    if METRICS.enabled:
-        METRICS.inc("placement.windows_placed")
-        METRICS.inc("placement.instances_placed", iterations)
-        METRICS.inc("placement.memo_replays",
-                    iterations - sum(len(v) for v in memo.values()))
-    return Placement(
-        iterations=iterations,
-        node_of=node_of,
-        home_row=home_row,
-        slots_used=slots_used,
-        node_rows=node_rows,
-    )
 
 
 def place_iterations_reference(

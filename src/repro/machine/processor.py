@@ -262,9 +262,9 @@ class GridProcessor:
         :class:`~repro.machine.window_cache.MappedWindowCache`) and
         *rebased* between the cold and warm passes instead of being
         re-mapped — bit-identical to two independent ``map_window``
-        calls, per the equivalence suite.  Under the array core the
-        window is still lazy at this point, so the rebase is O(1)
-        (template bookkeeping only, no per-instance writes).
+        calls, per the equivalence suite.  The window is still lazy at
+        this point, so the rebase is O(1) (template bookkeeping only, no
+        per-instance writes).
         """
         U = min(window_iterations(kernel, config, self.params),
                 max(1, n_records))

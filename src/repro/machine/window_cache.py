@@ -12,10 +12,7 @@ running ``map_window`` twice per point), and sweeps over the same
 (kernel, config, params, U) reuse the mapped structure across points
 in-process.
 
-Keys are content fingerprints (:mod:`repro.perf.fingerprint`) plus the
-active engine core (``repro.machine.fastcore.active_core``) — the array
-core caches lazy SoA-backed windows, the object core eager ones, and the
-two must not trade structures when the core is switched mid-process.
+Keys are content fingerprints (:mod:`repro.perf.fingerprint`).
 Fingerprints rather than object identities mean two independently-built
 copies of the same kernel share an entry; the kernel fingerprint — the
 only expensive one — is memoized on the kernel instance by
@@ -38,7 +35,6 @@ from typing import Tuple
 from ..isa.kernel import Kernel
 from ..obs.metrics import METRICS
 from .config import MachineConfig
-from .fastcore import active_core
 from .mapping import MappedWindow, map_window, rebase_window
 from .params import MachineParams
 
@@ -78,19 +74,11 @@ class MappedWindowCache:
             kernel_content_key,
         )
 
-        # The active engine core is part of the key: the array core maps
-        # *lazy* windows carrying fused SoA buffers, the object core maps
-        # eager instance lists.  Both are bit-identical to consumers, but
-        # sharing one entry across cores would hand the object engines a
-        # lazy window mid-switch (forcing a materialization they never
-        # asked for) and let a core flip silently reuse structures the
-        # other core built — keep the entries distinct instead.
         key = (
             kernel_content_key(kernel),
             fingerprint_config(config),
             fingerprint_params(params),
             iterations,
-            active_core(),
         )
         window = self._windows.get(key)
         if window is not None:

@@ -25,8 +25,8 @@ Design points:
   carries the path explicitly, so fan-out records exactly like the
   serial loop.
 * **Self-describing rows.**  Each row carries the run's content
-  fingerprint, backend and engine core, kernel/config/params, a
-  per-phase timing breakdown, the metrics snapshot from
+  fingerprint, backend, kernel/config/params, a per-phase timing
+  breakdown, the metrics snapshot from
   ``RunResult.detail`` (JSON, sorted keys — byte-stable), the cache
   verdict (``hit``/``miss``/``uncached``), the sanitizer verdict,
   host/pid/git-SHA provenance and wall seconds.
@@ -52,8 +52,10 @@ import uuid
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence
 
-#: Ledger schema version (bump on incompatible table changes).
-LEDGER_SCHEMA = 2
+#: Ledger schema version (bump on incompatible table changes).  Schema
+#: 3 dropped the ``runs.engine_core`` column: a file created at schema 2
+#: keeps that nullable legacy column, and rows written now leave it NULL.
+LEDGER_SCHEMA = 3
 
 #: Environment variable naming the ledger database path; empty or
 #: ``0``/``off``/``none`` (any case) leave the ledger disabled.
@@ -73,7 +75,6 @@ CREATE TABLE IF NOT EXISTS runs (
     pid          INTEGER,
     git_sha      TEXT,
     backend      TEXT,
-    engine_core  TEXT,
     kernel       TEXT,
     config       TEXT,
     records      INTEGER,
@@ -150,7 +151,7 @@ JOB_COLUMNS = (
 #: Column order of one ``runs`` row (INSERT and SELECT share it).
 ROW_COLUMNS = (
     "run_id", "created_at", "host", "user", "pid", "git_sha",
-    "backend", "engine_core", "kernel", "config", "records", "params",
+    "backend", "kernel", "config", "records", "params",
     "fingerprint", "cache", "sanitizer", "cycles", "useful_ops",
     "wall_seconds", "phases", "metrics",
 )
@@ -856,7 +857,6 @@ class LedgerHandle:
         self,
         result,
         backend: str,
-        engine_core: str,
         wall_seconds: float,
         params=None,
         fingerprint: Optional[str] = None,
@@ -898,7 +898,6 @@ class LedgerHandle:
             "pid": os.getpid(),
             "git_sha": current_git_sha(),
             "backend": backend,
-            "engine_core": engine_core,
             "kernel": result.kernel,
             "config": result.config,
             "records": result.records,

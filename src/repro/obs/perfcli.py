@@ -85,7 +85,6 @@ def history_table(rows: List[dict]) -> str:
             row["kernel"] or "-",
             row["config"] or "-",
             row["backend"] or "-",
-            row["engine_core"] or "-",
             row["cache"] or "-",
             row["records"] if row["records"] is not None else "-",
             row["cycles"] if row["cycles"] is not None else "-",
@@ -93,11 +92,11 @@ def history_table(rows: List[dict]) -> str:
             else "-",
         ])
     return render_table(
-        ["run id", "when", "kernel", "config", "backend", "core",
+        ["run id", "when", "kernel", "config", "backend",
          "cache", "records", "cycles", "wall s"],
         table_rows,
         title="run ledger (newest first)",
-        align_left=(0, 1, 2, 3, 4, 5, 6),
+        align_left=(0, 1, 2, 3, 4, 5),
     )
 
 
@@ -135,9 +134,9 @@ def diff_report(row_a: dict, row_b: dict) -> str:
     lines = [
         f"run diff: {row_a['run_id'][:12]} -> {row_b['run_id'][:12]}",
         f"  point : {row_a['kernel']}|{row_a['config']}"
-        f" ({row_a['backend']}/{row_a['engine_core']})"
+        f" ({row_a['backend']})"
         f" -> {row_b['kernel']}|{row_b['config']}"
-        f" ({row_b['backend']}/{row_b['engine_core']})",
+        f" ({row_b['backend']})",
         f"  cycles: {row_a['cycles']} -> {row_b['cycles']}"
         f" ({(row_b['cycles'] or 0) - (row_a['cycles'] or 0):+d})",
         f"  wall  : {row_a['wall_seconds']:.3f}s -> "
@@ -234,7 +233,7 @@ def compare_reports(
             f"  {name:<15} baseline {base:8.3f}s  fresh {now:8.3f}s  "
             f"{ratio:6.2f}x  {verdict}"
         )
-    for key in ("records", "backend", "engine_core"):
+    for key in ("records", "backend"):
         if baseline.get(key) != fresh.get(key):
             lines.append(
                 f"  note: {key} differs (baseline {baseline.get(key)!r}, "

@@ -43,19 +43,16 @@ from typing import Callable, Optional, Sequence, Tuple
 from ..isa.instruction import Const, Immediate, InstResult, RecordInput
 from ..isa.kernel import Kernel
 from ..machine.config import MachineConfig
-from ..machine.fastcore import active_core
 from ..machine.params import MachineParams
 
 #: Bump when engine timing semantics change (invalidates disk caches).
 #: v2: RunResult.detail gained the memory-system metrics snapshot.
 #: v3: the simulation backend identity is folded into every address
 #: (``repro.backends``), and results carry a ``detail["backend"]`` tag.
-#: v4: the active engine core (``repro.machine.fastcore``) is folded
-#: into every address.  The cores are pinned bit-exact, so entries
-#: could in principle be shared — keeping them apart means a cached
-#: document always names the exact code path that produced it, and a
-#: core divergence can never hide behind a stale cache hit.
-SCHEMA_VERSION = 4
+#: v4: the active engine core was folded into every address.
+#: v5: each engine has one production path, so the core left the
+#: address again; v4 entries never replay.
+SCHEMA_VERSION = 5
 
 #: Backend part of a fingerprint when no backend is named: the grid
 #: processor, whose parameters are already covered by
@@ -230,7 +227,6 @@ def combine_fingerprints(
     records_fp: str,
     seed: int = 0,
     backend: str = DEFAULT_BACKEND_PART,
-    engine_core: Optional[str] = None,
 ) -> str:
     """Combine precomputed part fingerprints into a run's content address.
 
@@ -239,14 +235,11 @@ def combine_fingerprints(
     identical to :func:`run_fingerprint` on the full inputs.  ``backend``
     is the simulating backend's :meth:`~repro.backends.Backend.fingerprint_part`
     (default: the grid processor), so results from different machine
-    models can never alias in the cache.  ``engine_core`` names the
-    engine-core selection (``array``/``object``); the default reads the
-    process-wide :func:`repro.machine.fastcore.active_core`.
+    models can never alias in the cache.
     """
     doc = {
         "schema": SCHEMA_VERSION,
         "backend": backend,
-        "engine_core": engine_core if engine_core is not None else active_core(),
         "kernel": kernel_fp,
         "config": config_fp,
         "params": params_fp,
@@ -263,7 +256,6 @@ def run_fingerprint(
     records: Sequence[Sequence],
     seed: int = 0,
     backend: str = DEFAULT_BACKEND_PART,
-    engine_core: Optional[str] = None,
 ) -> str:
     """The content address of one deterministic simulation point."""
     return combine_fingerprints(
@@ -273,5 +265,4 @@ def run_fingerprint(
         fingerprint_records(records),
         seed,
         backend=backend,
-        engine_core=engine_core,
     )

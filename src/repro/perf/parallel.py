@@ -75,11 +75,7 @@ class SweepPoint:
     not just the grid.  ``ledger_path`` routes the worker's durable
     run-ledger rows (:mod:`repro.obs.ledger`) into the parent's
     database; None leaves the worker's own configuration (usually the
-    inherited ``REPRO_LEDGER`` environment) in charge.  ``engine_core``
-    pins the :mod:`repro.machine.fastcore` selection for this one point
-    (fingerprint and simulation alike); None defers to the ambient
-    process-wide choice — service jobs pin it so a queued request runs
-    on the core it asked for no matter which process picks it up.
+    inherited ``REPRO_LEDGER`` environment) in charge.
     ``fingerprint`` optionally carries the point's precomputed content
     address (the scheduler fills it at enqueue time so claim rows are
     keyed before any worker runs); it is derived state, excluded from
@@ -94,7 +90,6 @@ class SweepPoint:
     cache_dir: Optional[str] = None
     backend: str = "grid"       # backend registry name
     ledger_path: Optional[str] = None
-    engine_core: Optional[str] = None
     fingerprint: Optional[str] = field(default=None, compare=False)
 
 
@@ -124,8 +119,7 @@ def _simulate(point: SweepPoint, meta: Optional[dict]) -> RunResult:
     claim consumers record on the DONE row.  The cache is probed
     before anything else: a hit costs one memoized fingerprint (none
     when the point carries it) and one cache read, and never generates
-    the workload.  A pinned ``engine_core`` goes into the fingerprint
-    and the dispatch alike.
+    the workload.
     """
     # Lazy imports: repro.backends imports this package back (for the
     # fingerprint helpers), so resolving at call time avoids the cycle.
@@ -154,11 +148,8 @@ def _simulate(point: SweepPoint, meta: Optional[dict]) -> RunResult:
                 # Replays are runs too: a hit row keeps the ledger a
                 # complete account of what a sweep delivered (wall
                 # seconds ~0 distinguishes it from a simulation).
-                from ..machine.fastcore import active_core
-
                 LEDGER.record_run(
                     cached, backend=backend.name,
-                    engine_core=point.engine_core or active_core(),
                     wall_seconds=0.0, params=point.params,
                     fingerprint=fp, cache="hit",
                 )
@@ -168,7 +159,7 @@ def _simulate(point: SweepPoint, meta: Optional[dict]) -> RunResult:
     result = dispatch(
         backend, spec(point.kernel).kernel(),
         generate_workload(point.kernel, point.records, point.workload_seed),
-        point.config, point.params, engine_core=point.engine_core,
+        point.config, point.params,
         fingerprint=fp, cache_status="miss" if fp is not None else None,
     )
     if cache is not None:

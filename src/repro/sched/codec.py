@@ -10,10 +10,9 @@ by :class:`~repro.isa.opcodes.OpClass`; it round-trips through the
 enum *names*.
 
 :func:`point_fingerprint` computes the same content address
-:func:`~repro.perf.parallel.simulate_point` runs under (including the
-``engine_core`` pin), from memoized parts, so claim rows are keyed by
-fingerprint before any worker touches them — and cache-hit points
-never generate their workload.
+:func:`~repro.perf.parallel.simulate_point` runs under, from memoized
+parts, so claim rows are keyed by fingerprint before any worker touches
+them — and cache-hit points never generate their workload.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ def encode_point(point, memo: Optional[dict] = None) -> Dict[str, Any]:
         "cache_dir": point.cache_dir,
         "backend": point.backend,
         "ledger_path": point.ledger_path,
-        "engine_core": point.engine_core,
     }
 
 
@@ -85,7 +83,6 @@ def decode_point(doc: Dict[str, Any], fingerprint: Optional[str] = None):
         cache_dir=doc.get("cache_dir"),
         backend=doc.get("backend", "grid"),
         ledger_path=doc.get("ledger_path"),
-        engine_core=doc.get("engine_core"),
         fingerprint=fingerprint,
     )
 
@@ -97,8 +94,7 @@ def point_fingerprint(point) -> str:
     on the full inputs, but built from memoized parts: the kernel hash
     lives on the registry's kernel instance and the record-stream
     digest in the ``(kernel, records, seed)`` LRU, so a point whose
-    workload was addressed before generates no stream at all.  A
-    pinned ``engine_core`` is passed straight into the address.  With
+    workload was addressed before generates no stream at all.  With
     the sanitizer on, the memo is cross-checked against a full
     ``run_fingerprint`` over a freshly generated stream.
     """
@@ -123,7 +119,6 @@ def point_fingerprint(point) -> str:
         fingerprint_params(point.params),
         records_content_key(point.kernel, point.records, point.workload_seed),
         backend=backend_part,
-        engine_core=point.engine_core,
     )
     if SANITIZER.enabled:
         full = run_fingerprint(
@@ -131,7 +126,7 @@ def point_fingerprint(point) -> str:
             generate_workload(
                 point.kernel, point.records, point.workload_seed
             ),
-            backend=backend_part, engine_core=point.engine_core,
+            backend=backend_part,
         )
         if full != fp:
             SANITIZER.report(

@@ -24,7 +24,8 @@ import sys
 import time
 from typing import List, Optional
 
-from ..obs.ledger import DEFAULT_LEDGER, LEDGER_ENV, add_ledger_arguments
+from ..obs.ledger import DEFAULT_LEDGER, LEDGER_ENV, LedgerSchemaError, \
+    add_ledger_arguments
 from ..obs.progress import render_state
 from .client import ServiceClient, ServiceError
 from .jobs import JobQueue, JobState
@@ -95,9 +96,13 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         jobs=args.jobs,
         workers=args.workers,
     )
-    server = start_server(
-        queue, host=args.host, port=args.port, quiet=not args.verbose
-    )
+    try:
+        server = start_server(
+            queue, host=args.host, port=args.port, quiet=not args.verbose
+        )
+    except LedgerSchemaError as exc:
+        print(f"repro-serve: {exc}", file=sys.stderr)
+        return 2
     print(
         f"repro-serve listening on http://{args.host}:{server.port}",
         flush=True,
@@ -127,8 +132,6 @@ def _spec_from_args(args) -> dict:
         "records": args.records,
         "seed": args.seed,
     }
-    if args.engine_core is not None:
-        spec["engine_core"] = args.engine_core
     if args.tag:
         spec["tag"] = args.tag
     return spec
@@ -158,10 +161,6 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--backend", default="grid",
                         help="backend registry name (default grid)")
-    parser.add_argument(
-        "--engine-core", default=None, choices=("array", "object"),
-        help="pin the engine core for this sweep (default: server's)",
-    )
     parser.add_argument("--records", type=int, default=64, metavar="N",
                         help="records per kernel run (default 64)")
     parser.add_argument("--seed", type=int, default=0, metavar="N",

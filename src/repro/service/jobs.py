@@ -57,7 +57,7 @@ import uuid
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from ..obs.ledger import RunLedger, ledger_to
+from ..obs.ledger import LedgerSchemaError, RunLedger, ledger_to
 from ..obs.metrics import METRICS
 from ..obs.progress import PROGRESS, tracking
 from ..perf.parallel import run_points
@@ -81,11 +81,17 @@ class JobState:
 class Job:
     """One submission's mutable record (guarded by the queue's lock)."""
 
-    def __init__(self, job_id: str, spec: SweepSpec,
-                 submitted_at: Optional[float] = None):
+    def __init__(self, job_id: str, spec: Optional[SweepSpec],
+                 submitted_at: Optional[float] = None,
+                 stored_spec: Optional[str] = None):
         self.job_id = job_id
+        #: None only for a job adopted with an unparseable stored spec,
+        #: which is FAILED on adoption and keeps ``stored_spec`` instead
         self.spec = spec
-        self.spec_fingerprint = spec.fingerprint()
+        self.stored_spec = stored_spec
+        self.spec_fingerprint = (
+            spec.fingerprint() if spec is not None else None
+        )
         self.state = JobState.QUEUED
         self.submitted_at = (
             time.time() if submitted_at is None else submitted_at
@@ -160,7 +166,9 @@ class JobQueue:
         job the database still records as QUEUED or RUNNING — the
         restart-resume path: their claim rows are still there, so DONE
         points replay from their stored results and only the remainder
-        simulates.
+        simulates.  Raises :class:`~repro.obs.ledger.LedgerSchemaError`
+        (before any worker starts) when the ledger carries a newer
+        schema: every job would fail on it.
         """
         self._recover()
         self._stop.clear()
@@ -189,32 +197,41 @@ class JobQueue:
                     )
 
     def _recover(self) -> None:
-        """Re-adopt QUEUED/RUNNING jobs from the ledger (once)."""
+        """Re-adopt QUEUED/RUNNING jobs from the ledger (once).
+
+        A row whose stored spec no longer parses is adopted as a FAILED
+        job carrying the parse message — terminal and visible, never
+        left QUEUED with no job behind it.
+        """
         if self._ledger is None or self._recovered:
             self._recovered = True
             return
-        self._recovered = True
         try:
             rows = self._ledger.job_rows(
                 states=(JobState.QUEUED, JobState.RUNNING)
             )
+        except LedgerSchemaError:
+            raise
         except Exception:
-            return
+            rows = []  # an unreadable ledger has nothing to adopt
+        self._recovered = True
         for row in rows:
-            try:
-                spec = SweepSpec.from_dict(json.loads(row["spec"]))
-            except (ValueError, TypeError, KeyError):
-                continue  # unparseable legacy row: leave it be
+            spec, error = _stored_spec(row["spec"])
             job = Job(
-                row["job_id"], spec, submitted_at=row.get("submitted_at")
+                row["job_id"], spec, submitted_at=row.get("submitted_at"),
+                stored_spec=row["spec"] if spec is None else None,
             )
             job.adopted = True
             with self._lock:
                 if job.job_id in self._jobs:
                     continue
                 self._jobs[job.job_id] = job
+                if error is not None:
+                    job.error = error
+                    self._finish(job, JobState.FAILED)
             self._persist(job)
-            self._queue.put(job.job_id)
+            if error is None:
+                self._queue.put(job.job_id)
             if METRICS.enabled:
                 METRICS.inc("service.jobs.adopted")
 
@@ -293,7 +310,10 @@ class JobQueue:
             doc = {
                 "job_id": job.job_id,
                 "state": state,
-                "spec": job.spec.to_dict(),
+                "spec": (
+                    job.spec.to_dict() if job.spec is not None
+                    else job.stored_spec
+                ),
                 "spec_fingerprint": job.spec_fingerprint,
                 "submitted_at": job.submitted_at,
                 "started_at": job.started_at,
@@ -542,7 +562,10 @@ class JobQueue:
         try:
             self._ledger.upsert_job({
                 "job_id": job.job_id,
-                "spec": json.dumps(job.spec.to_dict(), sort_keys=True),
+                "spec": (
+                    json.dumps(job.spec.to_dict(), sort_keys=True)
+                    if job.spec is not None else job.stored_spec
+                ),
                 "source": "service",
                 "state": job.state,
                 "submitted_at": job.submitted_at,
@@ -582,6 +605,22 @@ class JobQueue:
             )
         except Exception:
             return verdicts or {}
+
+
+def _stored_spec(text) -> Tuple[Optional[SweepSpec], Optional[str]]:
+    """Parse a ledger job row's spec: ``(spec, None)`` or ``(None, error)``.
+
+    Specs stored while the service still accepted an ``engine_core``
+    field carry that key; it selects nothing any more, so it is dropped
+    here (and only here — a new submission naming it is rejected).
+    """
+    try:
+        doc = json.loads(text)
+        if isinstance(doc, dict):
+            doc.pop("engine_core", None)
+        return SweepSpec.from_dict(doc), None
+    except (ValueError, TypeError, KeyError) as exc:
+        return None, f"unparseable stored spec: {exc}"
 
 
 __all__ = ["Job", "JobQueue", "JobState"]

@@ -74,7 +74,6 @@ class SweepSpec:
     kernels: Tuple[str, ...]
     configs: Tuple[str, ...] = ("baseline",)
     backend: str = "grid"
-    engine_core: Optional[str] = None
     records: int = 64
     large_kernel_records: Optional[int] = None
     seed: int = 0
@@ -96,12 +95,11 @@ class SweepSpec:
         # backend; spec parsing must stay importable early.
         from ..backends import backend_names
         from ..kernels.registry import all_specs
-        from ..machine.fastcore import VALID_MODES
 
         if not isinstance(doc, dict):
             raise ValueError(f"sweep spec must be a JSON object, got {doc!r}")
         known = {
-            "kernels", "configs", "backend", "engine_core", "records",
+            "kernels", "configs", "backend", "records",
             "large_kernel_records", "seed", "rows", "cols", "tag",
         }
         unknown = sorted(set(doc) - known)
@@ -140,13 +138,6 @@ class SweepSpec:
                 f"unknown backend {backend!r}; known: {backend_names()}"
             )
 
-        engine_core = doc.get("engine_core")
-        if engine_core is not None and engine_core not in VALID_MODES:
-            raise ValueError(
-                f"unknown engine core {engine_core!r}; "
-                f"choose one of {VALID_MODES}"
-            )
-
         records = _as_int(doc.get("records", 64), "records")
         large = doc.get("large_kernel_records")
         if large is not None:
@@ -162,7 +153,7 @@ class SweepSpec:
             raise ValueError(f"spec field 'tag' must be a string, got {tag!r}")
         return cls(
             kernels=kernels, configs=configs, backend=backend,
-            engine_core=engine_core, records=records,
+            records=records,
             large_kernel_records=large, seed=seed, rows=rows, cols=cols,
             tag=tag,
         )
@@ -182,7 +173,6 @@ class SweepSpec:
             "kernels": list(self.kernels),
             "configs": list(self.configs),
             "backend": self.backend,
-            "engine_core": self.engine_core,
             "records": self.records,
             "large_kernel_records": self.effective_large_kernel_records,
             "seed": self.seed,
@@ -194,14 +184,9 @@ class SweepSpec:
     def fingerprint(self) -> str:
         """Content address of the whole spec (the job-identity hash).
 
-        An unset engine core resolves to the process's active core
-        first: two submissions that would simulate on different cores
-        must never alias.  The ``tag`` is annotation, not identity.
+        The ``tag`` is annotation, not identity.
         """
-        from ..machine.fastcore import active_core
-
         doc = self.to_dict()
-        doc["engine_core"] = self.engine_core or active_core()
         del doc["tag"]
         encoded = json.dumps(doc, sort_keys=True).encode("utf-8")
         return hashlib.sha256(encoded).hexdigest()
@@ -253,7 +238,6 @@ class SweepSpec:
                     cache_dir=cache_dir,
                     backend=self.backend,
                     ledger_path=ledger_path,
-                    engine_core=self.engine_core,
                 ))
         return points, skipped
 

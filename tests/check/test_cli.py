@@ -62,4 +62,4 @@ class TestFaults:
         code = main(["faults", "--jobs", "2"])
         err = capsys.readouterr().err
         assert code == 0
-        assert "3 scenario(s), 0 failed" in err
+        assert "4 scenario(s), 0 failed" in err

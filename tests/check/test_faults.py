@@ -7,6 +7,7 @@ from repro.check.faults import (
     FaultPlan,
     check_cache_corruption,
     check_interrupt,
+    check_ledger_schema,
     check_worker_failure,
     inject_cache_faults,
     run_fault_suite,
@@ -80,10 +81,15 @@ class TestScenarios:
         check = check_interrupt(after_points=2)
         assert check.passed, check.detail
 
+    def test_ledger_schema_refuses_newer_and_adopts_schema2(self):
+        check = check_ledger_schema()
+        assert check.passed, check.detail
+
     def test_full_suite_is_green(self):
         checks = run_fault_suite(jobs=2)
         assert [c.name for c in checks] == [
             "cache-corruption", "worker-failure", "interrupt",
+            "ledger-schema",
         ]
         assert all(c.passed for c in checks), \
             [c.render() for c in checks if not c.passed]

@@ -1,13 +1,13 @@
-"""Array engine cores vs the object reference oracle.
+"""Production engine paths vs their object reference oracles.
 
-``repro.machine.fastcore`` re-implements the hot loops of the dataflow
-engine, the MIMD engine and the mapping pipeline as batch-stepped
-structure-of-arrays kernels.  The object implementations stay untouched
-as the executable specification; these tests pin the two cores to
-bit-exact equality — identical mapped windows, ``WindowTiming``,
+Each block-style engine has one production path built on the
+structure-of-arrays cores of ``repro.machine.fastcore`` and one oracle
+that walks instance objects: ``map_window`` vs ``map_window_reference``,
+``place_iterations`` vs ``place_iterations_reference`` and
+``DataflowEngine.run`` vs ``DataflowEngine.run_reference``.  These tests
+pin each pair bit-exact — identical mapped windows, ``WindowTiming``,
 ``EngineStats``, traces and ``RunResult`` documents — across the pinned
-fuzz corpus and every paper kernel, and exercise the automatic
-fallback paths (uncovered MIMD records, missing numpy).
+fuzz corpus and every paper kernel.
 """
 
 import numpy
@@ -18,8 +18,8 @@ from repro.kernels import spec
 from repro.kernels.registry import all_specs
 from repro.machine import DataflowEngine, GridProcessor, MachineConfig, \
     MachineParams, MimdEngine, map_window
-from repro.machine import fastcore
-from repro.machine.fastcore import active_core, using_core
+from repro.machine import window_cache as window_cache_mod
+from repro.machine.mapping import map_window_reference
 from repro.machine.placement import place_iterations, \
     place_iterations_reference
 from repro.machine.window_cache import MappedWindowCache
@@ -48,92 +48,68 @@ def corpus_case(seed):
     return kernel, config, iterations
 
 
-def dataflow_engine(kernel, config, iterations, seed=1, trace=False):
+def dataflow_engine(kernel, config, iterations, seed=1, trace=False,
+                    mapper=map_window):
     params = MachineParams()
     memory = MemorySystem(params.rows, params.memory_timings())
     memory.configure_smc(config.smc_stream)
-    window = map_window(kernel, config, params, iterations=iterations)
+    window = mapper(kernel, config, params, iterations=iterations)
     return DataflowEngine(window, memory, seed=seed, trace=trace)
 
 
-class TestCoreSelection:
-    def test_array_is_the_default(self):
-        assert active_core() == "array"
-
-    def test_using_core_scopes_the_choice(self):
-        with using_core("object"):
-            assert active_core() == "object"
-        assert active_core() == "array"
-
-    def test_unknown_core_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine core"):
-            fastcore.set_engine_core("simd")
-        with pytest.raises(ValueError, match="unknown engine core"):
-            with using_core("turbo"):
-                pass  # pragma: no cover
-
-    def test_missing_numpy_falls_back_to_object(self, monkeypatch):
-        """Without numpy the array request degrades to the object core
-        and the pipeline still runs."""
-        monkeypatch.setattr(fastcore, "HAVE_NUMPY", False)
-        with using_core("array"):
-            assert active_core() == "object"
-            kernel, config, iterations = corpus_case(2)
-            timing = dataflow_engine(kernel, config, iterations).run()
-        assert timing.cycles > 0
+def engine_pair(kernel, config, iterations, trace=False):
+    """(production engine, oracle engine) for one corpus point, each on
+    the window its own mapping path built."""
+    return (
+        dataflow_engine(kernel, config, iterations, trace=trace),
+        dataflow_engine(kernel, config, iterations, trace=trace,
+                        mapper=map_window_reference),
+    )
 
 
 class TestMappedWindowEquivalence:
-    """map_window under the array core vs the object expansion."""
+    """map_window (lazy, template-cloned) vs the eager oracle."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_fuzz_corpus_identical_windows(self, seed):
         kernel, config, iterations = corpus_case(seed)
         params = MachineParams()
-        with using_core("array"):
-            array_win = map_window(kernel, config, params,
-                                   iterations=iterations)
-        with using_core("object"):
-            object_win = map_window(kernel, config, params,
-                                    iterations=iterations)
-        assert array_win.instances == object_win.instances
-        assert array_win.const_reads == object_win.const_reads
-        assert array_win.placement == object_win.placement
-        assert array_win == object_win
+        window = map_window(kernel, config, params, iterations=iterations)
+        oracle = map_window_reference(kernel, config, params,
+                                      iterations=iterations)
+        assert window.instances == oracle.instances
+        assert window.const_reads == oracle.const_reads
+        assert window.placement == oracle.placement
+        assert window == oracle
 
     @pytest.mark.parametrize("name", [s.name for s in all_specs()])
     def test_paper_kernels_identical_windows(self, name):
         kernel = spec(name).kernel()
         params = MachineParams()
         for config in CONFIGS:
-            with using_core("array"):
-                array_win = map_window(kernel, config, params,
-                                       record_offset=3)
-            with using_core("object"):
-                object_win = map_window(kernel, config, params,
-                                        record_offset=3)
-            assert array_win == object_win
+            window = map_window(kernel, config, params, record_offset=3)
+            oracle = map_window_reference(kernel, config, params,
+                                          record_offset=3)
+            assert window == oracle
 
     @pytest.mark.parametrize("seed", range(16))
     def test_fuzz_corpus_identical_placement(self, seed):
         kernel, _config, iterations = corpus_case(seed)
         params = MachineParams()
-        with using_core("array"):
-            array_placement = place_iterations(kernel, params, iterations)
-        with using_core("object"):
-            object_placement = place_iterations(kernel, params, iterations)
+        placement = place_iterations(kernel, params, iterations)
         reference = place_iterations_reference(kernel, params, iterations)
-        assert array_placement == object_placement
-        assert array_placement == reference
+        assert placement == reference
+        assert placement.node_rows == reference.node_rows
 
-    @pytest.mark.parametrize("core", ["array", "object"])
-    def test_node_rows_consistent_with_node_of(self, core):
-        """Both cores derive ``node_rows`` (the expansion's view of the
-        placement) consistent with the authoritative ``node_of``."""
+    @pytest.mark.parametrize("placer", [
+        place_iterations, place_iterations_reference,
+    ], ids=["production", "reference"])
+    def test_node_rows_consistent_with_node_of(self, placer):
+        """Both placements derive ``node_rows`` (the expansion's view of
+        the placement) consistent with the authoritative ``node_of``."""
         kernel, _config, iterations = corpus_case(5)
         params = MachineParams()
-        with using_core(core):
-            placement = place_iterations(kernel, params, iterations)
+        placement = placer(kernel, params, iterations)
         assert len(placement.node_rows) == iterations
         iids = [inst.iid for inst in kernel.body]
         for u, row in enumerate(placement.node_rows):
@@ -141,17 +117,14 @@ class TestMappedWindowEquivalence:
 
 
 class TestDataflowCoreEquivalence:
-    """DataflowEngine.run: SoA core vs the object issue loop."""
+    """DataflowEngine.run (SoA core) vs run_reference (object loop)."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_fuzz_corpus_identical_timing_and_stats(self, seed):
         kernel, config, iterations = corpus_case(seed)
-        with using_core("array"):
-            fast = dataflow_engine(kernel, config, iterations)
-            t_fast = fast.run()
-        with using_core("object"):
-            reference = dataflow_engine(kernel, config, iterations)
-            t_ref = reference.run()
+        fast, reference = engine_pair(kernel, config, iterations)
+        t_fast = fast.run()
+        t_ref = reference.run_reference()
         assert t_fast == t_ref
         assert fast.stats == reference.stats
 
@@ -165,9 +138,7 @@ class TestDataflowCoreEquivalence:
 
         kernel, config, iterations = corpus_case(seed)
         params = MachineParams()
-        with using_core("array"):
-            window = map_window(kernel, config, params,
-                                iterations=iterations)
+        window = map_window(kernel, config, params, iterations=iterations)
         fused = window._fastcore_soa
         del window._fastcore_soa
         window.issue_order = None
@@ -193,16 +164,13 @@ class TestDataflowCoreEquivalence:
         """Windows whose streams hit the banked L1 (baseline loads, LUT
         and LDI round trips) must time identically whether the core
         batches the per-cycle address stream through
-        ``timed_access_batch`` or the object loop issues one
-        ``l1_access`` per instance — including every hit/miss/eviction
-        and port-grant the run publishes in its detail snapshot."""
+        ``timed_access_batch`` or the oracle issues one ``l1_access``
+        per instance — including every hit/miss/eviction and port-grant
+        the run publishes in its detail snapshot."""
         kernel, config, iterations = corpus_case(seed)
-        with using_core("array"):
-            fast = dataflow_engine(kernel, config, iterations)
-            t_fast = fast.run()
-        with using_core("object"):
-            reference = dataflow_engine(kernel, config, iterations)
-            t_ref = reference.run()
+        fast, reference = engine_pair(kernel, config, iterations)
+        t_fast = fast.run()
+        t_ref = reference.run_reference()
         assert t_fast == t_ref
         assert fast.stats == reference.stats
         assert (fast.memory.metrics_snapshot()
@@ -212,56 +180,47 @@ class TestDataflowCoreEquivalence:
 
     def test_traces_identical(self):
         kernel, config, iterations = corpus_case(9)
-        with using_core("array"):
-            fast = dataflow_engine(kernel, config, iterations, trace=True)
-            fast.run()
-        with using_core("object"):
-            reference = dataflow_engine(kernel, config, iterations,
-                                        trace=True)
-            reference.run()
+        fast, reference = engine_pair(kernel, config, iterations,
+                                      trace=True)
+        fast.run()
+        reference.run_reference()
         assert fast.trace == reference.trace
 
 
 class TestLazyWindowExpansion:
-    """The array core's windows stay lazy until someone actually needs
+    """Production windows stay lazy until someone actually needs
     Instance objects — and materialize bit-identically when they do."""
 
     def setup_window(self, seed=3, offset=0):
         kernel, config, iterations = corpus_case(seed)
         params = MachineParams()
-        with using_core("array"):
-            window = map_window(kernel, config, params,
-                                iterations=iterations,
-                                record_offset=offset)
+        window = map_window(kernel, config, params, iterations=iterations,
+                            record_offset=offset)
         return kernel, config, params, iterations, window
 
     def test_map_and_run_never_materialize(self):
         kernel, config, iterations = corpus_case(3)
         params = MachineParams()
-        with using_core("array"):
-            window = map_window(kernel, config, params,
-                                iterations=iterations)
-            assert not window.materialized
-            memory = MemorySystem(params.rows, params.memory_timings())
-            memory.configure_smc(config.smc_stream)
-            timing = DataflowEngine(window, memory, seed=1).run()
+        window = map_window(kernel, config, params, iterations=iterations)
+        assert not window.materialized
+        memory = MemorySystem(params.rows, params.memory_timings())
+        memory.configure_smc(config.smc_stream)
+        timing = DataflowEngine(window, memory, seed=1).run()
         assert timing.cycles > 0
         assert not window.materialized  # the SoA run never touched them
 
     def test_materialization_matches_object_expansion(self):
         kernel, config, params, iterations, window = self.setup_window()
-        with using_core("object"):
-            eager = map_window(kernel, config, params,
-                               iterations=iterations)
+        eager = map_window_reference(kernel, config, params,
+                                     iterations=iterations)
         assert window.instances == eager.instances  # forces the clone loop
         assert window.materialized
         assert window.const_reads == eager.const_reads
 
     def test_instance_views_match_instances_without_materializing(self):
         kernel, config, params, iterations, window = self.setup_window()
-        with using_core("object"):
-            eager = map_window(kernel, config, params,
-                               iterations=iterations)
+        eager = map_window_reference(kernel, config, params,
+                                     iterations=iterations)
         views = window.instance_views()
         assert not window.materialized
         assert len(views) == len(eager.instances)
@@ -276,72 +235,17 @@ class TestLazyWindowExpansion:
         kernel, config, params, iterations, window = self.setup_window()
         rebase_window(window, 11)
         assert not window.materialized  # lazy rebase is O(1) bookkeeping
-        with using_core("object"):
-            fresh = map_window(kernel, config, params,
-                               iterations=iterations, record_offset=11)
+        fresh = map_window_reference(kernel, config, params,
+                                     iterations=iterations, record_offset=11)
         assert window.instances == fresh.instances
         assert window == fresh
 
 
-def mimd_pair(name, config, records):
-    """Run one MIMD point under each core; returns (fast engine,
-    fast result, reference engine, reference result)."""
-    params = MachineParams()
-
-    def engine():
-        memory = MemorySystem(params.rows, params.memory_timings())
-        memory.configure_smc(True)
-        return MimdEngine(spec(name).kernel(), config, params, memory)
-
-    with using_core("array"):
-        fast = engine()
-        r_fast = fast.run(records)
-    with using_core("object"):
-        reference = engine()
-        r_ref = reference.run(records)
-    return fast, r_fast, reference, r_ref
-
-
-class TestMimdCoreEquivalence:
-    """MimdEngine records: max-plus affine core vs the object loop."""
-
-    @pytest.mark.parametrize("name,cfg", [
-        (s.name, config.name)
-        for s in all_specs()
-        for config in (MachineConfig.M(), MachineConfig.M_D())
-        if GridProcessor().supports(s.kernel(), config)
-    ])
-    def test_all_capable_points_identical(self, name, cfg):
-        config = MachineConfig.M() if cfg == "M" else MachineConfig.M_D()
-        records = spec(name).workload(16, 9)
-        fast, r_fast, reference, r_ref = mimd_pair(name, config, records)
-        assert r_fast == r_ref
-        assert fast.stats == reference.stats
-
-    @pytest.mark.parametrize("name,cfg", [
-        ("rijndael", "M"),            # LUTs without an L0 data store
-        ("anisotropic-filter", "M-D"),  # LDI: live L1 round trips
-    ])
-    def test_l1_round_trip_records_use_staged_plans(self, name, cfg):
-        """Records whose live set takes the L1 round-trip paths compile
-        to *staged* plans — affine between the L1 ops, concrete
-        ``l1_access`` calls at each — and must stay bit-identical to the
-        object loop, including the L1/port state the stages mutate."""
-        config = MachineConfig.M() if cfg == "M" else MachineConfig.M_D()
-        records = spec(name).workload(8, 3)
-        fast, r_fast, reference, r_ref = mimd_pair(name, config, records)
-        plans = fast.__dict__.get("_fastcore_plans", {})
-        assert plans, "array core never consulted"
-        assert all(plan is not None for plan in plans.values())
-        assert any(plan.l1_meta for plan in plans.values())
-        assert r_fast == r_ref
-        assert fast.stats == reference.stats
-        assert (fast.memory.metrics_snapshot()
-                == reference.memory.metrics_snapshot())
-
-
 class TestProcessorEquivalence:
-    """Full GridProcessor runs: RunResult documents must be identical."""
+    """Full GridProcessor runs: the production pipeline vs the same
+    processor with every oracle swapped in (eager mapping with reference
+    placement, the reference dataflow loop, the reference MIMD record
+    loop) — RunResult documents must be identical."""
 
     @pytest.mark.parametrize("name,config", [
         ("fft", MachineConfig.S_O()),
@@ -351,13 +255,21 @@ class TestProcessorEquivalence:
         ("rijndael", MachineConfig.S()),
         ("anisotropic-filter", MachineConfig.baseline()),
     ])
-    def test_run_results_identical_across_cores(self, name, config):
+    def test_run_results_identical_across_cores(self, name, config,
+                                                 monkeypatch):
         s = spec(name)
         kernel, records = s.kernel(), s.workload(12, 7)
-        results = {}
-        for core in ("array", "object"):
-            with using_core(core):
-                processor = GridProcessor(window_cache=MappedWindowCache())
-                results[core] = processor.run(kernel, records, config)
-        assert results["array"] == results["object"]
-        assert results["array"].detail == results["object"].detail
+        production = GridProcessor(window_cache=MappedWindowCache()).run(
+            kernel, records, config
+        )
+        monkeypatch.setattr(window_cache_mod, "map_window",
+                            map_window_reference)
+        monkeypatch.setattr(DataflowEngine, "run",
+                            DataflowEngine.run_reference)
+        monkeypatch.setattr(MimdEngine, "_run_record",
+                            MimdEngine._run_record_reference)
+        oracle = GridProcessor(window_cache=MappedWindowCache()).run(
+            kernel, records, config
+        )
+        assert production == oracle
+        assert production.detail == oracle.detail

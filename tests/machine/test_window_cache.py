@@ -10,7 +10,6 @@ requested offset, regardless of hit/miss history.
 from repro.kernels import spec
 from repro.machine import GridProcessor, MachineConfig, MachineParams, \
     map_window
-from repro.machine.fastcore import using_core
 from repro.machine.window_cache import SHARED_WINDOW_CACHE, MappedWindowCache
 from repro.perf.fingerprint import kernel_content_key
 
@@ -80,24 +79,16 @@ class TestMappedWindowCache:
         cache.get_or_map(kernel, config, params, 1)
         assert cache.misses == 4 and cache.hits == 0
 
-    def test_engine_cores_have_distinct_entries(self):
-        """The active engine core is part of the key: the array core's
-        lazy SoA-backed window and the object core's eager one must not
-        be traded across a mid-process core switch — but their content
-        is identical."""
+    def test_stale_engine_core_env_shares_the_entry(self, monkeypatch):
+        """The key is content only: a leftover ``REPRO_ENGINE_CORE``
+        setting selects nothing and must not split the entry."""
         kernel, config, params = fft_point()
         cache = MappedWindowCache()
-        with using_core("array"):
-            lazy = cache.get_or_map(kernel, config, params, 4)
-        with using_core("object"):
-            eager = cache.get_or_map(kernel, config, params, 4)
-        assert (cache.hits, cache.misses, len(cache)) == (0, 2, 2)
-        assert eager is not lazy
-        assert eager.materialized
-        assert eager == lazy  # content equality regardless of core
-        with using_core("array"):
-            assert cache.get_or_map(kernel, config, params, 4) is lazy
-        assert cache.hits == 1
+        monkeypatch.delenv("REPRO_ENGINE_CORE", raising=False)
+        window = cache.get_or_map(kernel, config, params, 4)
+        monkeypatch.setenv("REPRO_ENGINE_CORE", "object")
+        assert cache.get_or_map(kernel, config, params, 4) is window
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
 
     def test_clear_resets_counters(self):
         kernel, config, params = fft_point()

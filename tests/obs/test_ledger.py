@@ -74,7 +74,7 @@ class TestDispatchRecords:
             row = handle.ledger.rows()[0]
         assert row["git_sha"] == current_git_sha()
         assert row["host"]
-        assert row["engine_core"] in ("array", "object")
+        assert "engine_core" not in row  # dropped at schema 3
         assert row["sanitizer"] == "off"
 
     def test_params_column_is_sorted_json(self, tmp_path):
@@ -138,7 +138,7 @@ class TestDisabledPath:
     def test_record_run_returns_none_while_disabled(self):
         result = run_convert()
         assert LEDGER.record_run(
-            result, backend="grid", engine_core="array", wall_seconds=0.1
+            result, backend="grid", wall_seconds=0.1
         ) is None
 
 
@@ -393,8 +393,7 @@ class TestSchemaStamp:
         self.write_stamp(path, LEDGER_SCHEMA + 1)
         with ledger_to(path):
             assert LEDGER.record_run(
-                run_convert(), backend="grid", engine_core="array",
-                wall_seconds=0.0,
+                run_convert(), backend="grid", wall_seconds=0.0,
             ) is None
         assert self.stamp(path) == str(LEDGER_SCHEMA + 1)
 
@@ -405,8 +404,8 @@ class TestSchemaStamp:
             for params in (MachineParams(), MachineParams(hop_cycles=2.0)):
                 for _ in range(2):
                     LEDGER.record_run(
-                        result, backend="grid", engine_core="array",
-                        wall_seconds=0.0, params=params,
+                        result, backend="grid", wall_seconds=0.0,
+                        params=params,
                     )
         hops = sorted(row["params"]["hop_cycles"]
                       for row in RunLedger(path).rows())

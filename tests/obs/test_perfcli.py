@@ -98,7 +98,7 @@ class TestDiff:
             ledger.append({
                 "run_id": run_id, "created_at": 0.0,
                 "kernel": "convert", "backend": "grid", "config": "S",
-                "engine_core": "array", "cycles": 100,
+                "cycles": 100,
                 "wall_seconds": 0.1, "metrics": json.dumps({}),
             })
         assert perfcli.main(["--ledger", db, "diff", "cafe", "cafe99"]) == 0
@@ -110,7 +110,6 @@ def report(**overrides):
         "schema": 1,
         "records": 128,
         "backend": "grid",
-        "engine_core": "array",
         "phases_seconds": {
             "cold_serial": 1.0,
             "warm_memory": 0.002,  # below the noise floor

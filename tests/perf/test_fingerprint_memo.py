@@ -16,7 +16,6 @@ from repro.check.sanitizer import checking
 from repro.harness.experiments import ExperimentContext, sweep_workload_seed
 from repro.kernels import all_specs
 from repro.machine import MachineConfig, MachineParams
-from repro.machine.fastcore import using_core
 from repro.perf import fingerprint as fpmod
 from repro.perf.fingerprint import records_content_key, run_fingerprint
 from repro.perf.parallel import SweepPoint, simulate_point
@@ -54,11 +53,13 @@ def no_workloads(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("core", [None, "array", "object"])
+@pytest.mark.parametrize("stale_core", [None, "array", "object"])
 @pytest.mark.parametrize("name", KERNELS)
 def test_memoized_addresses_equal_full_fingerprint(
-    name, core, seed, empty_memo
+    name, stale_core, seed, empty_memo, monkeypatch
 ):
+    """Memoized and full addresses agree, and a leftover
+    ``REPRO_ENGINE_CORE`` value (None: unset) changes no address."""
     params = MachineParams()
     config = MachineConfig.S_O()
     ctx = ExperimentContext(params=params, records=8,
@@ -66,22 +67,24 @@ def test_memoized_addresses_equal_full_fingerprint(
     point = SweepPoint(
         kernel=name, config=config, params=params,
         records=ctx.record_count(name),
-        workload_seed=sweep_workload_seed(seed), engine_core=core,
+        workload_seed=sweep_workload_seed(seed),
     )
+    kernel = kernel_registry.spec(name).kernel()
     stream = kernel_registry.spec(name).workload(
         point.records, point.workload_seed
     )
-    full = run_fingerprint(
-        kernel_registry.spec(name).kernel(), config, params, stream,
-        engine_core=core,
-    )
+    monkeypatch.delenv("REPRO_ENGINE_CORE", raising=False)
+    unset = run_fingerprint(kernel, config, params, stream)
+    if stale_core is not None:
+        monkeypatch.setenv("REPRO_ENGINE_CORE", stale_core)
+    full = run_fingerprint(kernel, config, params, stream)
+    assert full == unset
     # Memo miss: point_fingerprint generates and digests the stream.
     assert point_fingerprint(point) == full
     # Context first on an empty memo: its own stream seeds the memo,
     # and point_fingerprint then reads it back.
     empty_memo.clear()
-    with using_core(core):
-        assert ctx.fingerprint(name, config) == full
+    assert ctx.fingerprint(name, config) == full
     assert point_fingerprint(point) == full
 
 

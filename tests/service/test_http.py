@@ -132,15 +132,18 @@ class TestErrorsAndControl:
 
     def test_bad_specs_are_400_with_reason(self, service):
         client, _, _ = service
-        for spec in (
-            {"kernels": ["not-a-kernel"]},
-            {"kernels": ["convert"], "typo": 1},
-            {"configs": ["S"]},
+        for spec, reason in (
+            ({"kernels": ["not-a-kernel"]}, "unknown kernel"),
+            ({"kernels": ["convert"], "typo": 1}, "['typo']"),
+            ({"kernels": ["convert"], "engine_core": "array"},
+             "unknown spec field(s) ['engine_core']"),
+            ({"configs": ["S"]}, "requires a 'kernels'"),
         ):
             with pytest.raises(ServiceError) as exc_info:
                 client.submit(spec)
             assert exc_info.value.status == 400
             assert "bad sweep spec" in exc_info.value.message
+            assert reason in exc_info.value.message
 
     def test_results_before_done_is_409(self, parked_service):
         accepted = parked_service.submit({"kernels": ["convert"]})

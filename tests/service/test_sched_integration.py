@@ -2,6 +2,7 @@
 claim revocation, incremental results paging, failure surfacing."""
 
 import dataclasses
+import json
 import time
 
 import pytest
@@ -105,6 +106,109 @@ class TestRestartAdoption:
             assert rows[1]["cycles"] != 987654321
         finally:
             reborn.shutdown(wait=True, timeout=10.0)
+
+
+def store_job_row(queue, job_id, spec_text, state="queued"):
+    """A job row as an earlier server left it in the shared ledger."""
+    RunLedger(queue.ledger_path).upsert_job({
+        "job_id": job_id, "spec": spec_text, "source": "service",
+        "state": state, "submitted_at": time.time(),
+    })
+
+
+class TestAdoptionOfStoredSpecs:
+    @pytest.mark.parametrize("legacy", [None, "object"])
+    def test_legacy_engine_core_key_is_dropped(self, tmp_path, legacy):
+        """Specs stored while the service accepted ``engine_core`` adopt
+        and finish; the re-persisted row no longer names the field."""
+        queue = make_queue(tmp_path)
+        store_job_row(queue, "legacy", json.dumps({
+            "kernels": ["convert"], "records": 8, "engine_core": legacy,
+        }))
+        queue.start()
+        try:
+            job = wait_terminal(queue, "legacy")
+            assert job.adopted is True
+            assert job.state == JobState.DONE
+            assert queue.results("legacy")["num_points"] == 1
+        finally:
+            queue.shutdown(wait=True, timeout=10.0)
+        (row,) = RunLedger(queue.ledger_path).job_rows()
+        assert row["state"] == JobState.DONE
+        assert "engine_core" not in json.loads(row["spec"])
+
+    @pytest.mark.parametrize("spec_text,fragment", [
+        (json.dumps({"kernels": ["no-such-kernel"]}), "unknown kernel"),
+        ("{not json", "unparseable stored spec"),
+        (None, "unparseable stored spec"),
+    ])
+    def test_unparseable_row_is_adopted_as_failed(
+        self, tmp_path, spec_text, fragment
+    ):
+        """A row that no longer parses becomes a visible FAILED job
+        carrying the parse message — persisted, never left QUEUED."""
+        queue = make_queue(tmp_path)
+        store_job_row(queue, "orphan", spec_text, state="running")
+        queue.start()
+        try:
+            job = queue.get("orphan")
+            assert job.adopted is True
+            assert job.state == JobState.FAILED
+            assert fragment in job.error
+            status = queue.status("orphan")
+            assert status["state"] == JobState.FAILED
+            assert status["spec"] == spec_text
+            assert status["spec_fingerprint"] is None
+            with pytest.raises(LookupError):
+                queue.results("orphan")
+        finally:
+            queue.shutdown(wait=True, timeout=10.0)
+        (row,) = RunLedger(queue.ledger_path).job_rows()
+        assert row["state"] == JobState.FAILED
+        assert fragment in row["error"]
+        assert row["spec"] == spec_text
+        assert row["finished_at"] is not None
+
+
+class TestNewerLedgerSchema:
+    def stamp_newer(self, path):
+        import sqlite3
+
+        from repro.obs.ledger import LEDGER_SCHEMA
+
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        conn.execute("INSERT INTO meta VALUES ('schema', ?)",
+                     (str(LEDGER_SCHEMA + 1),))
+        conn.commit()
+        conn.close()
+
+    def test_start_raises_before_any_worker_runs(self, tmp_path):
+        from repro.obs.ledger import LedgerSchemaError
+
+        queue = make_queue(tmp_path)
+        self.stamp_newer(queue.ledger_path)
+        with pytest.raises(LedgerSchemaError, match="has schema"):
+            queue.start()
+        assert queue._threads == []
+        with pytest.raises(LedgerSchemaError):
+            queue.start()  # still refused on a second try
+
+    def test_repro_serve_exits_nonzero_before_listening(
+        self, tmp_path, capsys
+    ):
+        from repro.service.cli import serve_main
+
+        ledger = str(tmp_path / "newer.sqlite")
+        self.stamp_newer(ledger)
+        rc = serve_main([
+            "--port", "0", "--ledger", ledger,
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        out, err = capsys.readouterr()
+        assert rc != 0
+        assert "listening on" not in out
+        assert "has schema" in err
 
 
 class TestCancelRevocation:

@@ -18,7 +18,6 @@ class TestParsing:
         assert spec.kernels == ("convert",)
         assert spec.configs == ("baseline",)
         assert spec.backend == "grid"
-        assert spec.engine_core is None
         assert spec.records == 64
         assert spec.effective_large_kernel_records == 16
 
@@ -46,8 +45,8 @@ class TestParsing:
         ({"kernels": ["nope"]}, "unknown kernel"),
         ({"kernels": ["convert"], "configs": ["X"]}, "unknown configuration"),
         ({"kernels": ["convert"], "backend": "abacus"}, "unknown backend"),
-        ({"kernels": ["convert"], "engine_core": "gpu"},
-         "unknown engine core"),
+        ({"kernels": ["convert"], "engine_core": "object"},
+         "field.*'engine_core'"),
         ({"kernels": ["convert"], "records": 0}, "records"),
         ({"kernels": ["convert"], "typo": 1}, "unknown spec field"),
         ({"configs": ["S"]}, "requires a 'kernels'"),
@@ -95,6 +94,13 @@ class TestFingerprint:
         b = SweepSpec.from_dict({"kernels": ["convert"], "tag": "bob"})
         assert a.fingerprint() == b.fingerprint()
 
+    def test_stale_engine_core_env_is_not_identity(self, monkeypatch):
+        spec = SweepSpec.from_dict({"kernels": ["convert"]})
+        monkeypatch.delenv("REPRO_ENGINE_CORE", raising=False)
+        unset = spec.fingerprint()
+        monkeypatch.setenv("REPRO_ENGINE_CORE", "object")
+        assert spec.fingerprint() == unset
+
 
 class TestBuildPoints:
     def test_grid_partitions_into_points_and_skipped(self):
@@ -128,13 +134,10 @@ class TestBuildPoints:
             kernel("rijndael"), 64, 16
         )
 
-    def test_engine_core_and_paths_thread_through(self):
-        spec = SweepSpec.from_dict(
-            {"kernels": ["convert"], "engine_core": "object"}
-        )
+    def test_paths_thread_through(self):
+        spec = SweepSpec.from_dict({"kernels": ["convert"]})
         points, _ = spec.build_points(
             cache_dir="/tmp/c", ledger_path="/tmp/l.sqlite"
         )
-        assert points[0].engine_core == "object"
         assert points[0].cache_dir == "/tmp/c"
         assert points[0].ledger_path == "/tmp/l.sqlite"
