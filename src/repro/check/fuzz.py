@@ -12,8 +12,9 @@ on ordinary fuzz workloads:
 * the production vs reference mapping and dataflow engine over every
   block-style configuration (baseline, S, S-O, S-O-D) — mapped windows,
   timings and stats bit-identical;
-* the optimized vs reference MIMD record loop (M, M-D) where the kernel
-  fits, plus MIMD functional output vs the oracle;
+* the compiled vs reference MIMD record schedule (M, M-D) where the
+  kernel fits, under the stress parameters and again under
+  :func:`skewed_params`, plus MIMD functional output vs the oracle;
 * a :class:`~repro.perf.cache.RunCache` round trip of the result.
 
 :func:`check_case_backends` is the cross-backend differential mode: the
@@ -159,6 +160,28 @@ def _stress_params():
     return MachineParams(store_capacity_lines=STRESS_STORE_CAPACITY)
 
 
+def skewed_params():
+    """Timing skewed so MIMD producers outlive the loads between them.
+
+    Multiply/FP latencies of 17-40 cycles against zero-latency L1/L2
+    hits keep several terms alive in the MIMD engine's compiled
+    per-record expressions, which default latencies collapse to one;
+    the one-line store buffer, 3-word LMWs and half-cycle hops stress
+    the store, fetch and routing paths at the same time.
+    """
+    from ..isa.opcodes import OpClass
+    from ..machine.params import MachineParams
+
+    latencies = dict(MachineParams().latencies)
+    for n, opclass in enumerate((OpClass.INT_MUL, OpClass.FP_ADD,
+                                 OpClass.FP_MUL, OpClass.FP_DIV,
+                                 OpClass.FP_SPECIAL)):
+        latencies[opclass] = 17 + 23 * n // 4
+    return MachineParams(latencies=latencies, l1_hit_latency=0,
+                         l2_latency=0, hop_cycles=0.5,
+                         store_capacity_lines=1, lmw_words=3)
+
+
 def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
     """Run one case through every path; None means it survived clean."""
     from ..isa.evaluate import evaluate_stream
@@ -175,8 +198,8 @@ def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
     kernel = case.kernel()
     records = case.record_stream(kernel)
 
-    def fresh_memory(config):
-        memory = MemorySystem(params.rows, params.memory_timings())
+    def fresh_memory(config, timing=params):
+        memory = MemorySystem(timing.rows, timing.memory_timings())
         memory.configure_smc(config.smc_stream)
         return memory
 
@@ -215,22 +238,28 @@ def check_case(case: FuzzCase, params=None) -> Optional[FuzzFailure]:
                 return fail(stage, "fast/reference engine stats diverge")
 
         processor = GridProcessor(params)
+        skewed = skewed_params()
         for config in (MachineConfig.M(), MachineConfig.M_D()):
             if not processor.supports(kernel, config):
                 continue
             stage = f"mimd:{config.name}"
-            try:
-                fast = MimdEngine(kernel, config, params,
-                                  fresh_memory(config))
-                reference = MimdEngine(kernel, config, params,
-                                       fresh_memory(config))
-                reference._run_record = reference._run_record_reference
-                r_fast = fast.run(records)
-                r_ref = reference.run(records)
-            except Exception as exc:
-                return fail(stage, f"crash: {exc!r}")
-            if r_fast != r_ref or fast.stats != reference.stats:
-                return fail(stage, "fast/reference record loops diverge")
+            for timing in (params, skewed):
+                if not GridProcessor(timing).supports(kernel, config):
+                    continue
+                try:
+                    fast = MimdEngine(kernel, config, timing,
+                                      fresh_memory(config, timing))
+                    reference = MimdEngine(kernel, config, timing,
+                                           fresh_memory(config, timing))
+                    reference._run_record = reference._run_record_reference
+                    r_fast = fast.run(records)
+                    r_ref = reference.run(records)
+                except Exception as exc:
+                    return fail(stage, f"crash: {exc!r}")
+                if r_fast != r_ref or fast.stats != reference.stats:
+                    which = "skewed" if timing is skewed else "stress"
+                    return fail(stage, f"fast/reference record loops "
+                                       f"diverge under {which} params")
             functional = MimdEngine(kernel, config, params,
                                     fresh_memory(config), functional=True)
             outputs = functional.run(records).outputs

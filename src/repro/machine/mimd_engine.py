@@ -35,8 +35,9 @@ instructions — branching past dead iterations costs nothing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from ..check.sanitizer import SANITIZER
 from ..isa.instruction import Const, Immediate, InstResult, RecordInput
@@ -102,6 +103,34 @@ def check_capacity(kernel: Kernel, config: MachineConfig, params: MachineParams)
             )
 
 
+class _Plan(NamedTuple):
+    """One trip count's compiled record schedule (see ``_plan``)."""
+
+    steps: list     # (offset, extra, base, size, multiplier, addend)
+    body_end: tuple
+    stores: list    # (slot, offset, extra) per kernel output
+    final: tuple
+    executed: int
+    skipped: int
+    lut_trips: int
+    useful: int
+
+
+def _split(expr: Dict[int, int]) -> tuple:
+    """A compiled time as (offset from the latest anchor, other terms)."""
+    top = max(expr)
+    return expr[top], tuple((v, c) for v, c in expr.items() if v != top)
+
+
+def _latest(anchors: List[Number], offset: int, extra: tuple) -> Number:
+    """Evaluate a compiled time: ``max(P_v + c)`` over its terms."""
+    latest = anchors[-1] + offset
+    for v, c in extra:
+        if anchors[v] + c > latest:
+            latest = anchors[v] + c
+    return latest
+
+
 class MimdEngine:
     """Times (and optionally computes) a MIMD run of a kernel."""
 
@@ -133,84 +162,119 @@ class MimdEngine:
             raise ValueError("MIMD partition needs at least one node")
         if any(not 0 <= n < params.nodes for n in self.nodes):
             raise ValueError(f"node ids out of range 0..{params.nodes - 1}")
+        duplicates = sorted(n for n, k in Counter(self.nodes).items() if k > 1)
+        if duplicates:
+            raise ValueError(f"duplicate node ids {duplicates} in MIMD partition")
         self.stats = MimdStats()
         self._table_base = {tid: 1 << 20 for tid in kernel.tables}
         self._space_base = {
             sid: (1 << 22) + (1 << 18) * i
             for i, sid in enumerate(sorted(kernel.spaces))
         }
-        # Hot-loop metadata, computed once per engine: a flat
-        # (iid, kind, producer iids, record-word deps, latency, base,
-        # len) tuple per instruction replaces per-record isinstance
-        # dispatch and table lookups (constants/immediates never delay
-        # issue, so they drop out entirely), and live sets / useful-op
-        # counts are memoized per trip count (they depend on nothing
-        # else).
+        # Per-instruction timing metadata, computed once per engine: an
+        # (iid, producer iids, latency, access) tuple where ``access`` is
+        # None for fixed-latency ops and (is_lut, base, size, multiplier,
+        # addend) for a blocking load through the L1 (record-word and
+        # constant operands never delay issue, so they drop out).
         meta = []
         for inst in kernel.body:
             producers = tuple(
                 s.producer for s in inst.srcs if isinstance(s, InstResult)
             )
-            word_deps = tuple(
-                s.index for s in inst.srcs if isinstance(s, RecordInput)
-            )
-            if inst.op.name == "LUT":
-                meta.append((inst.iid, 1, producers, word_deps, 0,
-                             self._table_base[inst.table],
-                             len(kernel.tables[inst.table])))
+            access = None
+            latency = params.latencies[inst.op.opclass]
+            if inst.op.name == "LUT" and config.l0_data:
+                latency = params.l0_data_latency
+            elif inst.op.name == "LUT":
+                access = (True, self._table_base[inst.table],
+                          len(kernel.tables[inst.table]), 31, inst.iid)
             elif inst.op.name == "LDI":
-                meta.append((inst.iid, 2, producers, word_deps, 0,
-                             self._space_base[inst.space],
-                             len(kernel.spaces[inst.space])))
-            else:
-                meta.append((inst.iid, 0, producers, word_deps,
-                             params.latencies[inst.op.opclass], 0, 0))
+                access = (False, self._space_base[inst.space],
+                          len(kernel.spaces[inst.space]), 97, inst.iid * 13)
+            meta.append((inst.iid, producers, latency, access))
         self._meta = meta
         self._chunks = [
             range(c * params.lmw_words,
                   min((c + 1) * params.lmw_words, kernel.record_in))
             for c in range(math.ceil(kernel.record_in / params.lmw_words))
         ]
-        self._live_cache: Dict[int, set] = {}
-        self._useful_cache: Dict[int, int] = {}
-        self._live_meta_cache: Dict[int, tuple] = {}
+        self._plans: Dict[int, _Plan] = {}
 
-    def _live_set(self, trips: int) -> set:
-        """Memoized set of live instruction ids for one trip count."""
-        live = self._live_cache.get(trips)
-        if live is None:
-            live = {i.iid for i in self.kernel.live_instructions(trips)}
-            self._live_cache[trips] = live
-        return live
+    def _plan(self, trips: int) -> _Plan:
+        """Memoized per-trip-count schedule of one record's timing.
 
-    def _live_meta(self, trips: int) -> tuple:
-        """Memoized per-trip-count view of the hot-loop metadata.
-
-        Filters :attr:`_meta` down to the live instructions for ``trips``
-        (so the per-record loop never tests liveness) and precomputes the
-        skipped count, the LUT L1-trip count, and the store plan — a
-        ``(slot, producer-or-minus-one)`` pair per output.
+        Anchor ``P_0`` is the PC after the record fetch and anchor
+        ``P_j`` the PC after the j-th blocking L1 load.  Every other
+        time in :meth:`_run_record_reference` is a max over anchors plus
+        constants (record words and load results are ready by the PC
+        that follows them), so each compiles to a ``{v: c}`` dict
+        meaning ``max(P_v + c)``, stored as an offset from the latest
+        anchor plus the other ``(v, c)`` terms.  A term is dropped only
+        when a kept later anchor provably dominates it via
+        ``bounds[u][v]``, the closure of ``P_j >= issue_j + 1``.
         """
-        entry = self._live_meta_cache.get(trips)
-        if entry is None:
-            live = self._live_set(trips)
-            meta = [m for m in self._meta if m[0] in live]
-            luts = sum(1 for m in meta if m[1] == 1)
-            outs = [
-                (slot, producer if producer in live else -1)
-                for producer, slot in self.kernel.outputs
-            ]
-            entry = (meta, len(self._meta) - len(meta), luts, outs)
-            self._live_meta_cache[trips] = entry
-        return entry
+        plan = self._plans.get(trips)
+        if plan is not None:
+            return plan
+        kernel = self.kernel
+        live = {i.iid for i in kernel.live_instructions(trips)}
+        bounds: List[Dict[int, int]] = [{}]
 
-    def _useful_live(self, trips: int) -> int:
-        """Memoized useful-op count for one trip count."""
-        useful = self._useful_cache.get(trips)
-        if useful is None:
-            useful = self.kernel.useful_ops_live(trips)
-            self._useful_cache[trips] = useful
-        return useful
+        def merge(expr, other, shift=0):
+            """``expr = max(expr, other + shift)``, term by term."""
+            for v, c in other.items():
+                if v not in expr or c + shift > expr[v]:
+                    expr[v] = c + shift
+            return expr
+
+        def prune(expr):
+            """Drop the terms a kept later-anchor term dominates."""
+            kept: Dict[int, int] = {}
+            for v in sorted(expr, reverse=True):
+                if all(c + bounds[u][v] < expr[v] for u, c in kept.items()):
+                    kept[v] = expr[v]
+            return kept
+
+        pc: Dict[int, int] = {0: 0}
+        ready: Dict[int, Dict[int, int]] = {}
+        steps = []
+        lut_trips = 0
+        for iid, producers, latency, access in self._meta:
+            if iid not in live:
+                continue
+            issue = dict(pc)
+            for p in producers:
+                merge(issue, ready.get(p, {}))
+            issue = prune(issue)
+            pc = merge({}, issue, 1)
+            if access is None:
+                ready[iid] = merge({}, issue, latency)
+                continue
+            is_lut, base, size, multiplier, addend = access
+            lut_trips += is_lut
+            steps.append((*_split(issue), base, size, multiplier, addend))
+            bound: Dict[int, int] = {}
+            for v, c in issue.items():
+                merge(bound, {v: 0, **bounds[v]}, c + 1)
+            bounds.append(bound)
+            pc = {len(steps): 0}
+        body_end = _split(pc)
+        stores = []
+        for producer, slot in kernel.outputs:
+            issue = dict(pc)
+            if producer in live:
+                issue = prune(merge(issue, ready.get(producer, {})))
+            stores.append((slot, *_split(issue)))
+            pc = merge({}, issue, 1)
+        if kernel.loop.variable:
+            pc = merge({}, pc, trips)
+        elif (kernel.loop.static_trips or 1) > 1:
+            pc = merge({}, pc, kernel.loop.static_trips)
+        plan = _Plan(steps, body_end, stores, _split(pc), len(live),
+                     len(kernel.body) - len(live), lut_trips,
+                     kernel.useful_ops_live(trips))
+        self._plans[trips] = plan
+        return plan
 
     # ---- per-record execution on one node ------------------------------------
 
@@ -220,13 +284,12 @@ class MimdEngine:
         """Execute one record on ``node`` starting at cycle ``start``.
 
         Returns ``(next_free_cycle, outputs)`` where outputs is None in
-        timing-only mode.  Functional runs take the straightforward
-        reference loop (which also computes values); timing-only runs
-        take an optimized loop over the precomputed instruction
-        metadata: a whole LMW chunk's SMC-port and channel reservations
-        issue in one batched memory call, and the record's stores flush
-        through the row store buffer in one batched push.  Both paths
-        produce identical cycle times and stats.
+        timing-only mode.  Functional runs take the reference loop
+        (which also computes values); timing-only runs replay the
+        record's compiled :meth:`_plan`: the LMW chunk fetches, one L1
+        access per live load and one batched store flush, with every
+        other cycle an anchor plus a constant.  Both paths produce
+        identical cycle times, memory traffic and stats.
         """
         if self.functional:
             return self._run_record_reference(node, start, record,
@@ -237,14 +300,12 @@ class MimdEngine:
         row = node // params.cols
         edge = params.route_to_row_edge(node)
         kernel = self.kernel
-
-        trips = kernel.trip_count(record)
-        meta, skipped, live_luts, outs = self._live_meta(trips)
+        (steps, body_end, stores, final, executed, skipped, lut_trips,
+         _useful) = self._plan(kernel.trip_count(record))
 
         phases = PHASES.enabled
         mem_started = perf_counter() if phases else 0.0
         pc_time = start
-        word_ready: List[int] = [0] * kernel.record_in
         smc_stream = self.config.smc_stream
         l1_access = memory.l1_access
         lmw_deliver_fast = memory.lmw_deliver_fast
@@ -259,9 +320,8 @@ class MimdEngine:
                 base = (1 << 24) + record_index * kernel.record_in
                 deliveries = [l1_access(base + w, request) for w in words]
             chunk_ready = pc_time + 1
-            for w, ready in zip(words, deliveries):
+            for ready in deliveries:
                 back = ready + edge
-                word_ready[w] = back
                 if back > chunk_ready:
                     chunk_ready = back
             load_stalls += chunk_ready - (pc_time + 1)
@@ -269,82 +329,36 @@ class MimdEngine:
         if phases:
             PHASES.add("mimd_memory", perf_counter() - mem_started)
 
-        # ``ready_at`` is a flat list indexed by kernel iid: entries of
-        # never-executed producers stay ``start``, matching the
-        # reference's ``ready_at.get(producer, start)``.
-        ready_at: List[int] = [start] * len(kernel.body)
-        l0_data = self.config.l0_data
-        l0_latency = params.l0_data_latency
-        lut_trips = 0
+        anchors = [pc_time]
+        for c, extra, base, size, multiplier, addend in steps:
+            issue = _latest(anchors, c, extra) if extra else anchors[-1] + c
+            done = l1_access(
+                base + (record_index * multiplier + addend) % size,
+                issue + edge,
+            ) + edge
+            anchors.append(done if done > issue + 1 else issue + 1)
+        load_stalls += _latest(anchors, *body_end) - pc_time - executed
 
-        for iid, kind, producers, word_deps, latency, mem_base, mem_len in meta:
-            # Anything at or before pc_time cannot delay issue, so the
-            # reference's ``max(..., default=start)`` reduces to the max
-            # operand readiness (constants and absent operands are 0).
-            operands_ready = 0
-            for p in producers:
-                t = ready_at[p]
-                if t > operands_ready:
-                    operands_ready = t
-            for w in word_deps:
-                t = word_ready[w]
-                if t > operands_ready:
-                    operands_ready = t
-            issue = pc_time if pc_time >= operands_ready else operands_ready
-            load_stalls += issue - pc_time
-            pc_time = issue + 1
-
-            if kind == 0:
-                done = issue + latency
-            elif kind == 1 and l0_data:
-                done = issue + l0_latency
-            else:
-                if kind == 1:
-                    address = mem_base + (
-                        (record_index * 31 + iid) % mem_len
-                    )
-                else:
-                    address = mem_base + (
-                        (record_index * 97 + iid * 13) % mem_len
-                    )
-                done = l1_access(address, issue + edge) + edge
-                if done > pc_time:
-                    load_stalls += done - pc_time
-                    pc_time = done
-            ready_at[iid] = done
-        if not l0_data:
-            lut_trips = live_luts
-
-        # Stores leave through the row store buffer; the buffer pushes
-        # are order-preserving and their drain times are not consumed
-        # here, so the whole record's stores flush in one batched call.
-        out_base = (1 << 26) + record_index * kernel.record_out
-        pushes = []
-        for slot, producer in outs:
-            if producer >= 0:
-                issue = ready_at[producer]
-                if pc_time > issue:
-                    issue = pc_time
-            else:
-                issue = pc_time
-            pc_time = issue + 1
-            pushes.append((out_base + slot, issue + edge))
-        if pushes:
+        # The row store buffer's pushes are order-preserving and their
+        # drain times are not consumed here, so the record's stores
+        # flush in one batched call.
+        if stores:
+            out_base = (1 << 26) + record_index * kernel.record_out
+            pushes = [
+                (out_base + slot, _latest(anchors, c, extra) + edge)
+                for slot, c, extra in stores
+            ]
             if phases:
                 mem_started = perf_counter()
             memory.smc_store_many(row, pushes)
             if phases:
                 PHASES.add("mimd_memory", perf_counter() - mem_started)
 
-        if kernel.loop.variable or (kernel.loop.static_trips or 1) > 1:
-            pc_time += trips if kernel.loop.variable else (
-                kernel.loop.static_trips or 1
-            )
         stats.load_stall_cycles += load_stalls
-        stats.instructions_executed += len(meta)
+        stats.instructions_executed += executed
         stats.instructions_skipped += skipped
         stats.lut_l1_trips += lut_trips
-        return pc_time, None
+        return _latest(anchors, *final), None
 
     def _run_record_reference(
         self, node: int, start: int, record: Sequence[Number], record_index: int
@@ -543,7 +557,7 @@ class MimdEngine:
                     args={"record": index},
                 )
             outputs.append(out)
-            useful += self._useful_live(kernel.trip_count(record))
+            useful += self._plan(kernel.trip_count(record)).useful
 
         drains = [
             self.memory.row_store_drain_cycle(r) for r in range(params.rows)

@@ -12,6 +12,7 @@ bug in the optimization, never an acceptable approximation.
 
 import pytest
 
+from repro.check.fuzz import skewed_params
 from repro.isa.random_kernels import RandomKernelConfig, random_kernel
 from repro.kernels import spec
 from repro.kernels.registry import all_specs
@@ -255,6 +256,115 @@ class TestMimdAllKernelsEquivalence:
         reference._run_record = reference._run_record_reference
         assert fast.run(records) == reference.run(records)
         assert fast.stats == reference.stats
+
+
+def mimd_pair(kernel, config, params, nodes=None):
+    """A compiled engine and an oracle engine on identical fresh memories."""
+    engines = []
+    for _ in range(2):
+        memory = MemorySystem(params.rows, params.memory_timings())
+        memory.configure_smc(config.smc_stream)
+        engines.append(MimdEngine(kernel, config, params, memory,
+                                  nodes=nodes))
+    engines[1]._run_record = engines[1]._run_record_reference
+    return engines
+
+
+#: Local PCs without the streamed-memory mechanism: records come
+#: through the cached L1 instead of the SMC channels.
+M_L1 = MachineConfig(name="M-L1", local_pc=True)
+SCHEDULE_CONFIGS = {"M": MachineConfig.M(), "M-D": MachineConfig.M_D(),
+                    "M-L1": M_L1}
+SCHEDULE_PARAMS = {"default": MachineParams(), "skewed": skewed_params()}
+PARTITIONS = {"all": None, "scattered": [0, 9, 18, 27, 63],
+              "one-row": [8, 15]}
+
+
+def variable_loop_kernel(seed=0):
+    """A random float kernel with a variable loop, a table and a space:
+    long FP latencies straddle its loads even at default parameters."""
+    return random_kernel(seed, RandomKernelConfig(
+        size=30, record_in=4, record_out=3, table_size=16, space_size=32,
+        variable_loop_trips=4,
+    ))
+
+
+def every_trip_count(kernel, records, trip_word):
+    """``records`` repeated once per trip count 0..max_trips."""
+    out = []
+    for trips in range(kernel.loop.max_trips + 1):
+        for record in records:
+            record = list(record)
+            record[trip_word] = trips
+            out.append(record)
+    return out
+
+
+def multi_term_expressions(engine):
+    """Compiled expressions that kept more than one anchor term."""
+    count = 0
+    for plan in engine._plans.values():
+        extras = [step[1] for step in plan.steps]
+        extras += [store[2] for store in plan.stores]
+        extras += [plan.body_end[1], plan.final[1]]
+        count += sum(1 for extra in extras if extra)
+    return count
+
+
+class TestMimdCompiledSchedule:
+    """The compiled per-trip-count schedule vs ``_run_record_reference``
+    where paper kernels at default parameters cannot reach: every trip
+    count, L1-fed records, node partitions and skewed timing."""
+
+    def assert_matches(self, kernel, records, cfg, params, nodes="all"):
+        fast, reference = mimd_pair(kernel, SCHEDULE_CONFIGS[cfg],
+                                    SCHEDULE_PARAMS[params],
+                                    PARTITIONS[nodes])
+        assert fast.run(records) == reference.run(records)
+        assert fast.stats == reference.stats
+        return fast
+
+    @pytest.mark.parametrize("params", sorted(SCHEDULE_PARAMS))
+    @pytest.mark.parametrize("cfg", sorted(SCHEDULE_CONFIGS))
+    def test_vertex_skinning_every_trip_count(self, cfg, params):
+        s = spec("vertex-skinning")
+        kernel = s.kernel()
+        records = every_trip_count(kernel, s.workload(3, 5), 14)
+        engine = self.assert_matches(kernel, records, cfg, params)
+        assert sorted(engine._plans) == list(
+            range(kernel.loop.max_trips + 1))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("params", sorted(SCHEDULE_PARAMS))
+    @pytest.mark.parametrize("cfg", sorted(SCHEDULE_CONFIGS))
+    def test_variable_loop_kernel_every_trip_count(self, cfg, params, seed):
+        kernel = variable_loop_kernel(seed)
+        base = [[0, 1.5, 2.25, 3.0], [0, 7.0, 0.5, 11.0]]
+        records = every_trip_count(kernel, base, 0)
+        engine = self.assert_matches(kernel, records, cfg, params)
+        assert sorted(engine._plans) == list(
+            range(kernel.loop.max_trips + 1))
+
+    @pytest.mark.parametrize("nodes", sorted(PARTITIONS))
+    @pytest.mark.parametrize("name,cfg", [("rijndael", "M"),
+                                          ("blowfish", "M"),
+                                          ("vertex-skinning", "M-L1"),
+                                          ("dct", "M-D")])
+    def test_paper_kernels_on_partitions_and_skewed_timing(self, name,
+                                                           cfg, nodes):
+        s = spec(name)
+        self.assert_matches(s.kernel(), s.workload(24, 3), cfg, "skewed",
+                            nodes)
+
+    @pytest.mark.parametrize("params", sorted(SCHEDULE_PARAMS))
+    def test_pruning_keeps_multi_term_expressions(self, params):
+        """Some expression must keep more than one term, or the
+        domination pruning would go untested by this class."""
+        kernel = variable_loop_kernel()
+        records = every_trip_count(kernel, [[0, 1.5, 2.25, 3.0]], 0)
+        engine = self.assert_matches(kernel, records, "M", params,
+                                     "scattered")
+        assert multi_term_expressions(engine) > 0
 
 
 class TestStoreDrainCeiling:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa import evaluate_kernel
 from repro.kernels import spec
+from repro.kernels.registry import all_specs
 from repro.machine import (
     MachineConfig,
     MachineParams,
@@ -94,6 +95,15 @@ class TestCapacity:
                 spec("blowfish").kernel(), MachineConfig.M_D(), params
             )
 
+    def test_duplicate_node_ids_rejected(self):
+        """A node listed twice would run its records once but count
+        twice in the occupancy denominator."""
+        params = MachineParams()
+        memory = MemorySystem(params.rows, params.memory_timings())
+        with pytest.raises(ValueError, match=r"duplicate node ids \[3, 9\]"):
+            MimdEngine(spec("fft").kernel(), MachineConfig.M(), params,
+                       memory, nodes=[3, 9, 3, 5, 9])
+
     def test_non_mimd_config_rejected(self):
         params = MachineParams()
         memory = MemorySystem(params.rows, params.memory_timings())
@@ -120,3 +130,48 @@ class TestTimingShape:
         m = engine_for("blowfish", MachineConfig.M())
         md = engine_for("blowfish", MachineConfig.M_D())
         assert md.run(records).cycles < m.run(records).cycles
+
+
+def _mimd_performance_points():
+    """Every performance-suite kernel under M and M-D that fits."""
+    params = MachineParams()
+    points = []
+    for s in all_specs(performance_only=True):
+        for config in (MachineConfig.M(), MachineConfig.M_D()):
+            try:
+                check_capacity(s.kernel(), config, params)
+            except MimdCapacityError:
+                continue
+            points.append((s.name, config.name))
+    return points
+
+
+class TestPerRecordWorkShape:
+    """A record's compiled schedule does per-record work only for its
+    blocking L1 loads: every other instruction is folded into constant
+    offsets once per trip count."""
+
+    @pytest.mark.parametrize("name,cfg", _mimd_performance_points())
+    def test_memory_steps_equal_live_l1_loads(self, name, cfg):
+        config = MachineConfig.M() if cfg == "M" else MachineConfig.M_D()
+        engine = engine_for(name, config)
+        kernel = engine.kernel
+        trip_counts = (range(kernel.loop.max_trips + 1)
+                       if kernel.loop.variable else [kernel.trip_count([])])
+        for trips in trip_counts:
+            live = kernel.live_instructions(trips)
+            loads = sum(1 for i in live if i.op.name == "LDI"
+                        or (i.op.name == "LUT" and not config.l0_data))
+            plan = engine._plan(trips)
+            assert len(plan.steps) == loads
+            assert plan.executed == len(live)
+            assert plan.lut_trips == (0 if config.l0_data else sum(
+                1 for i in live if i.op.name == "LUT"))
+
+    @pytest.mark.parametrize("name", ["dct", "md5"])
+    @pytest.mark.parametrize("cfg", ["M", "M-D"])
+    def test_load_free_kernels_have_no_per_record_steps(self, name, cfg):
+        config = MachineConfig.M() if cfg == "M" else MachineConfig.M_D()
+        engine = engine_for(name, config)
+        kernel = engine.kernel
+        assert engine._plan(kernel.trip_count([])).steps == []
